@@ -84,6 +84,12 @@ def _read(path: str, stdin: io.TextIOBase) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_operands(ns: argparse.Namespace, stdin: io.TextIOBase) -> tuple[str, str]:
+    if ns.left == ns.right == "-":
+        raise FormatError("standard input can feed only one operand; give a file for the other")
+    return _read(ns.left, stdin), _read(ns.right, stdin)
+
+
 def _bool_line(flag: bool) -> str:
     return "true\n" if flag else "false\n"
 
@@ -101,12 +107,10 @@ def _dispatch(ns: argparse.Namespace, stdin: io.TextIOBase, out: io.TextIOBase) 
         d = textio.parse_diagram(_read(ns.file, stdin))
         out.write(textio.emit_diagram(reduce(d)))
     elif verb == "eq":
-        a = textio.parse_diagram(_read(ns.left, stdin))
-        b = textio.parse_diagram(_read(ns.right, stdin))
+        a, b = map(textio.parse_diagram, _read_operands(ns, stdin))
         out.write(_bool_line(equivalent(a, b)))
     elif verb == "mul":
-        a = textio.parse_diagram(_read(ns.left, stdin))
-        b = textio.parse_diagram(_read(ns.right, stdin))
+        a, b = map(textio.parse_diagram, _read_operands(ns, stdin))
         out.write(textio.emit_diagram(multiply(a, b)))
     elif verb == "inv":
         out.write(textio.emit_diagram(invert(textio.parse_diagram(_read(ns.file, stdin)))))
@@ -146,8 +150,7 @@ def _dispatch(ns: argparse.Namespace, stdin: io.TextIOBase, out: io.TextIOBase) 
         t = textio.parse_config(_read(ns.file, stdin))
         out.write(textio.emit_generalized(configspace.df_section(t)))
     elif verb == "upper-bound":
-        x = _vertex(_read(ns.left, stdin))
-        y = _vertex(_read(ns.right, stdin))
+        x, y = map(_vertex, _read_operands(ns, stdin))
         out.write(textio.emit_diagram(cubes.upper_bound(x, y).diagram))
     elif verb == "forests":
         if ns.n < 1:

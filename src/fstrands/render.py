@@ -12,6 +12,7 @@ Identical inputs and options always produce byte-identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,8 +34,8 @@ class RenderSpec:
     def __post_init__(self) -> None:
         if self.fmt not in ("svg", "dot", "text"):
             raise DomainError(f"unsupported output format {self.fmt!r}")
-        if self.scale <= 0:
-            raise DomainError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise DomainError("scale must be a positive finite number")
 
 
 def _fmt(x: float) -> str:

@@ -37,17 +37,33 @@ Tree = tuple
 
 
 def leaf_count(t: Tree) -> int:
-    return 1 if not t else leaf_count(t[0]) + leaf_count(t[1])
+    count = 0
+    stack = [t]
+    while stack:
+        nd = stack.pop()
+        if nd:
+            stack += nd
+        else:
+            count += 1
+    return count
 
 
 def tree_splits(t: Tree, pos: int = 1) -> list[Event]:
-    """Slice events growing ``t`` from a single strand at position ``pos``."""
-    if not t:
-        return []
-    left, right = t
-    events = [(SPLIT, pos)]
-    events += tree_splits(left, pos)
-    events += tree_splits(right, pos + leaf_count(left))
+    """Slice events growing ``t`` from a single strand at position ``pos``.
+
+    A preorder walk: each caret splits the strand at the position of its
+    leftmost leaf, which is ``pos`` plus the leaves already passed.
+    """
+    events: list[Event] = []
+    passed = 0
+    stack = [t]
+    while stack:
+        nd = stack.pop()
+        if nd:
+            events.append((SPLIT, pos + passed))
+            stack += (nd[1], nd[0])
+        else:
+            passed += 1
     return events
 
 
@@ -57,38 +73,36 @@ def tree_diagram(t: Tree) -> StrandDiagram:
 
 
 def diagram_tree(d: StrandDiagram) -> Tree:
-    """Inverse of :func:`tree_diagram` for merge-free (1,n) diagrams."""
+    """Inverse of :func:`tree_diagram` for merge-free (1,n) diagrams.
+
+    Read bottom-up, the split at strand i joins the subtrees hanging
+    below strands i and i+1 into one caret.
+    """
     if d.m != 1 or d.merge_count:
         raise DomainError("diagram is not a splitting tree")
-    root: list = []
-    boxes: list[list] = [root]
-    for _tag, i in d.to_slices().events:
-        node = boxes[i - 1]
-        left: list = []
-        right: list = []
-        node.append(left)
-        node.append(right)
-        boxes[i - 1:i] = [left, right]
-
-    def freeze(nd: list) -> Tree:
-        return () if not nd else (freeze(nd[0]), freeze(nd[1]))
-
-    return freeze(root)
-
-
-def complete_tree(depth: int) -> Tree:
-    if depth == 0:
-        return ()
-    sub = complete_tree(depth - 1)
-    return (sub, sub)
+    subtrees: list[Tree] = [()] * d.n
+    for _tag, i in reversed(d.to_slices().events):
+        subtrees[i - 1:i + 1] = [(subtrees[i - 1], subtrees[i])]
+    return subtrees[0]
 
 
 def common_refinement(a: Tree, b: Tree) -> Tree:
-    if not a:
-        return b
-    if not b:
-        return a
-    return (common_refinement(a[0], b[0]), common_refinement(a[1], b[1]))
+    # Post-order on an explicit stack: a ``None`` marker pairs the two
+    # refined children sitting on top of ``out``.
+    out: list[Tree] = []
+    stack: list = [(a, b)]
+    while stack:
+        top = stack.pop()
+        if top is None:
+            right = out.pop()
+            out[-1] = (out[-1], right)
+            continue
+        x, y = top
+        if not x or not y:
+            out.append(x or y)
+        else:
+            stack += (None, (x[1], y[1]), (x[0], y[0]))
+    return out[0]
 
 
 @dataclass(frozen=True)
@@ -170,20 +184,24 @@ def tree_pair_to_diagram(p: TreePair) -> FElement:
 
 
 def merge_free_form(d: StrandDiagram) -> tuple[StrandDiagram, int]:
-    """Refine a (1,n) diagram by full splitting rounds until merge-free.
+    """Refine a (1,n) diagram by splitting rounds until merge-free.
 
-    Each round right-multiplies by the forest splitting every strand and
-    reduces; every merge that feeds a sink meets a new split and
-    cancels, so the merge count strictly decreases.  Returns the
-    merge-free diagram and the number of rounds performed.
+    Each round right-multiplies by the forest that splits only the sinks
+    fed by a merge, and reduces; each such merge meets its new split and
+    cancels, so the merge count strictly decreases.  Sinks fed by a split
+    are left alone, so leaves grow additively: on a reduced diagram the
+    result has ``split_count + 1`` leaves and its tree is the domain tree
+    of the reduced tree pair.  Returns the merge-free diagram and the
+    number of rounds performed.
     """
     if d.m != 1:
         raise DomainError("expected a (1,n) diagram")
     rounds = 0
     while d.merge_count:
         before = d.merge_count
-        full = SliceWord(d.n, tuple((SPLIT, 2 * k + 1) for k in range(d.n)))
-        d = multiply(d, from_slices(full))
+        fed = sorted(d.bottom_merge_positions())
+        splits = SliceWord(d.n, tuple((SPLIT, k + j) for j, k in enumerate(fed)))
+        d = multiply(d, from_slices(splits))
         rounds += 1
         if d.merge_count >= before:
             raise InvariantViolation("merge count failed to decrease in a splitting round")
@@ -191,8 +209,16 @@ def merge_free_form(d: StrandDiagram) -> tuple[StrandDiagram, int]:
 
 
 def diagram_to_tree_pair(a: FElement) -> TreePair:
-    tree_part, rounds = merge_free_form(a.rep)
-    return TreePair(diagram_tree(tree_part), complete_tree(rounds))
+    """The reduced tree pair of ``a``.
+
+    The domain tree is the merge-free form of ``a``, refined only at
+    merge-fed sinks.  The range tree is the forest those rounds stacked
+    below ``a``, read off as the reduced product ``a^-1 * domain``, which
+    has no merges.
+    """
+    tree_part, _ = merge_free_form(a.rep)
+    return TreePair(diagram_tree(tree_part),
+                    diagram_tree(multiply(invert(a.rep), tree_part)))
 
 
 # Standard generators as tree pairs exchanging a left and a right caret;
@@ -320,16 +346,14 @@ def pl_eq(m1: PLMap, m2: PLMap) -> bool:
 def leaf_partition(t: Tree) -> list[Fraction]:
     """Dyadic partition points of [0,1] cut by the leaves of ``t``."""
     out = [Fraction(0)]
-
-    def walk(nd: Tree, lo: Fraction, hi: Fraction) -> None:
+    stack = [(t, Fraction(0), Fraction(1))]
+    while stack:
+        nd, lo, hi = stack.pop()
         if not nd:
             out.append(hi)
-            return
+            continue
         mid = (lo + hi) / 2
-        walk(nd[0], lo, mid)
-        walk(nd[1], mid, hi)
-
-    walk(t, Fraction(0), Fraction(1))
+        stack += ((nd[1], mid, hi), (nd[0], lo, mid))
     return out
 
 

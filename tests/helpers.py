@@ -18,13 +18,16 @@ from fstrands.diagrams import (
     SliceWord,
     StrandDiagram,
     from_slices,
+    multiply,
 )
+from fstrands.errors import InvariantViolation
 from fstrands.forests import (
     EDGE,
     ElementaryForest,
     GeneralizedStrandDiagram,
     WeightedElementaryForest,
 )
+from fstrands.thompson import FElement, Tree, TreePair, diagram_tree
 
 
 def rng(seed: int) -> random.Random:
@@ -217,3 +220,35 @@ def structural_signature(d: StrandDiagram) -> tuple:
             skey = f"top{src[1]}"
         out.append((skey, dkey))
     return (d.m, d.n, tuple(sorted(out)))
+
+
+def complete_tree(depth: int) -> Tree:
+    """The binary tree with 2**depth leaves, all at the given depth."""
+    t: Tree = ()
+    for _ in range(depth):
+        t = (t, t)
+    return t
+
+
+def full_round_merge_free_form(d: StrandDiagram) -> tuple[StrandDiagram, int]:
+    """Reference refinement that splits *every* sink in each round.
+
+    Leaves double each round, so use it on small inputs only.  Returns
+    the merge-free diagram and the number of rounds, like
+    :func:`fstrands.thompson.merge_free_form`.
+    """
+    rounds = 0
+    while d.merge_count:
+        before = d.merge_count
+        full = SliceWord(d.n, tuple((SPLIT, 2 * k + 1) for k in range(d.n)))
+        d = multiply(d, from_slices(full))
+        rounds += 1
+        if d.merge_count >= before:
+            raise InvariantViolation("merge count failed to decrease in a splitting round")
+    return d, rounds
+
+
+def full_round_tree_pair(a: FElement) -> TreePair:
+    """A tree pair of ``a`` whose range is the complete tree of its rounds."""
+    tree_part, rounds = full_round_merge_free_form(a.rep)
+    return TreePair(diagram_tree(tree_part), complete_tree(rounds))

@@ -1,5 +1,6 @@
 """Vertices, cubes, parameterization, orbit keys, balls, and holonomy."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,15 @@ class TestUpperBound:
         y = ComplexVertex(random_vertex_diagram(r, 8))
         z = upper_bound(x, y)
         assert leq(x, z) and leq(y, z)
+
+    def test_right_comb_deeper_than_the_recursion_limit(self):
+        n = 1500
+        assert n > sys.getrecursionlimit()
+        comb = vtx(*(S(i) for i in range(1, n)))
+        split = vtx(S(1))
+        z = upper_bound(comb, split)
+        assert z.n == n
+        assert leq(comb, z) and leq(split, z)
 
 
 class TestForestEnumeration:

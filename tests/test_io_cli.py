@@ -255,6 +255,20 @@ class TestCli:
             assert code == 0
             assert out == "diagram 1\nS 1\nS 1\nS 3\n"
 
+    def test_upper_bound_of_deep_comb(self, tmp_path):
+        comb = tmp_path / "comb"
+        comb.write_text("diagram 1\n" + "".join(f"S {i}\n" for i in range(1, 1500)))
+        code, out, err = run(["upper-bound", str(comb), "-"], "diagram 1\nS 1\n")
+        assert (code, err) == (0, "")
+        assert textio.parse_diagram(out).n == 1500
+
+    @pytest.mark.parametrize("verb", ["eq", "mul", "upper-bound"])
+    def test_stdin_feeds_one_operand_only(self, verb):
+        code, out, err = run([verb, "-", "-"], "diagram 1\n")
+        assert (code, out) == (2, "")
+        assert "only one operand" in err
+        assert len(err.splitlines()) == 1
+
     def test_holonomy_identity_loop(self):
         moves = "forest 1\nS\nforest 1\nM\n"
         code, out, _ = run(["holonomy", "-"], moves)
@@ -274,6 +288,13 @@ class TestCli:
         code, out, _ = run(["render", "-", "--kind", "config"], "1 3/2 5/2\n")
         assert code == 0
         ET.fromstring(out)
+
+    @pytest.mark.parametrize("scale", ["0", "nan", "inf"])
+    def test_render_rejects_bad_scale(self, scale):
+        code, out, err = run(["render", "-", "--kind", "diagram", "--scale", scale],
+                             DIAGRAM_SM)
+        assert (code, out) == (1, "")
+        assert "scale" in err
 
     def test_render_determinism(self):
         a = run(["render", "-", "--kind", "generalized"],

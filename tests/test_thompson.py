@@ -1,5 +1,6 @@
 """Group structure on (1,1) diagrams and the PL homeomorphism oracle."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from fstrands.thompson import (
     f_inv,
     f_mul,
     from_word,
+    leaf_count,
     leaf_partition,
     merge_free_form,
     pl_compose,
@@ -25,11 +27,12 @@ from fstrands.thompson import (
     pl_inverse,
     to_pl,
     tree_diagram,
+    tree_pair_pl,
     tree_pair_to_diagram,
     tree_splits,
 )
 
-from helpers import random_f_word, rng
+from helpers import full_round_tree_pair, random_f_word, rng
 
 L = ()
 
@@ -64,6 +67,19 @@ class TestTrees:
     def test_tree_pair_requires_equal_leaves(self):
         with pytest.raises(DomainError):
             TreePair(L, (L, L))
+
+    def test_helpers_handle_combs_deeper_than_the_recursion_limit(self):
+        n = 1500
+        assert n > sys.getrecursionlimit()
+        comb = L
+        for _ in range(n - 1):
+            comb = (L, comb)
+        assert leaf_count(comb) == n
+        splits = tree_splits(comb)
+        assert splits == [("S", i) for i in range(1, n)]
+        assert leaf_count(diagram_tree(tree_diagram(comb))) == n
+        assert leaf_count(common_refinement(comb, (L, L))) == n
+        assert leaf_partition(comb)[-2:] == [1 - Fraction(1, 2 ** (n - 1)), Fraction(1)]
 
 
 class TestGroupOps:
@@ -142,6 +158,31 @@ class TestTreePairs:
             pair = TreePair(random_tree(r, exact=n), random_tree(r, exact=n))
             g = tree_pair_to_diagram(pair)
             assert tree_pair_to_diagram(diagram_to_tree_pair(g)) == g
+
+    def test_reduced_pair_matches_full_round_reference(self):
+        r = rng(31)
+        for _ in range(200):
+            g = from_word(random_f_word(r, 12))
+            assert pl_eq(tree_pair_pl(full_round_tree_pair(g)), to_pl(g))
+
+    def test_merge_free_form_is_the_reduced_tree(self):
+        r = rng(33)
+        for _ in range(200):
+            g = from_word(random_f_word(r, 16))
+            tree_part, _ = merge_free_form(g.rep)
+            assert tree_part.n == g.rep.split_count + 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 20, 50, 200])
+    def test_ab_ladder_leaves_grow_linearly(self, k):
+        pair = diagram_to_tree_pair(from_word("ab" * k))
+        assert leaf_count(pair.domain) == leaf_count(pair.range) == 2 * k + 2
+
+    def test_ab_power_matches_composed_maps(self):
+        step = to_pl(from_word("ab"))
+        expected = step
+        for _ in range(49):
+            expected = pl_compose(expected, step)
+        assert pl_eq(to_pl(from_word("ab" * 50)), expected)
 
     def test_pair_composition_matches_diagram_product(self):
         r = rng(12)
