@@ -4,7 +4,8 @@ Every verb reads files (or "-" for standard input), writes its result to
 standard output, and reports problems on standard error.  Exit codes:
 0 on success, 1 when a well-formed input violates a verb's domain
 (not a configuration, arity mismatch, and so on), 2 on parse errors or
-bad invocations.  Invocations are controlled entirely by flags; there
+bad invocations, 3 when an internal invariant fails (a bug; the message
+names the arguments).  Invocations are controlled entirely by flags; there
 are no environment variables or config files.
 """
 
@@ -16,7 +17,7 @@ import sys
 
 from . import configspace, cubes, render, textio
 from .diagrams import equivalent, invert, multiply, reduce
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, InvariantViolation
 from .thompson import from_word, pl_eval, to_pl
 
 
@@ -250,6 +251,9 @@ def run(argv: list[str], stdin_text: str = "",
     except DomainError as exc:
         err.write(f"rejected: {exc}\n")
         return 1, out.getvalue(), err.getvalue()
+    except InvariantViolation as exc:
+        err.write(f"internal error: {exc} (argv: {' '.join(argv)})\n")
+        return 3, out.getvalue(), err.getvalue()
     return 0, out.getvalue(), err.getvalue()
 
 

@@ -6,9 +6,12 @@ interior vertex either splits one strand into two or merges two adjacent
 strands into one.  Diagrams are described by slice words (time-ordered
 event sequences), normalized up to isotopy by a greedy leftmost
 linearization, and reduced by cancelling merge-then-split and
-split-then-merge pairs.  Reduced diagrams multiply by stacking, forming
-a groupoid graded by boundary arity; its (1,1) component is Thompson's
-group F.
+split-then-merge pairs.  Reduction is confluent, so every diagram has
+one reduced form whatever order the redexes fire in; a single worklist
+of candidate anchors does the rewriting, and a product of two reduced
+factors only seeds it at the seam.  Reduced diagrams multiply by
+stacking, forming a groupoid graded by boundary arity; its (1,1)
+component is Thompson's group F.
 
 Vertices never have degree 4: a merge stacked directly onto a split is
 cancelled on the spot, so the stored vertex taxonomy is exactly
@@ -17,7 +20,6 @@ cancelled on the spot, so the stored vertex taxonomy is exactly
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -188,8 +190,8 @@ def _build(word: SliceWord) -> "StrandDiagram":
     return StrandDiagram(word.sources, k, kind, down)
 
 
-def _greedy_raw(m: int, kind: dict, down: dict) -> tuple[list[Event], list[int]]:
-    """Greedy leftmost linearization of a wiring; returns (events, vertex order).
+def _greedy_raw(m: int, kind: dict, down: dict) -> list[Event]:
+    """Greedy leftmost linearization of a wiring.
 
     Repeatedly emits the ready vertex (all inputs already current) whose
     leftmost strand index is smallest.  Deterministic on the abstract
@@ -198,7 +200,6 @@ def _greedy_raw(m: int, kind: dict, down: dict) -> tuple[list[Event], list[int]]
     up = {dst: src for src, dst in down.items() if isinstance(dst[0], int)}
     strands = _Strands(("top", k) for k in range(m))
     events: list[Event] = []
-    order: list[int] = []
     remaining = len(kind)
     while remaining:
         nd = strands.node
@@ -211,7 +212,6 @@ def _greedy_raw(m: int, kind: dict, down: dict) -> tuple[list[Event], list[int]]
             continue
         if kind[v] == SPLIT:
             events.append((SPLIT, strands.index))
-            order.append(v)
             strands.replace_one([(v, 0), (v, 1)])
             remaining -= 1
             strands.step_left()
@@ -225,7 +225,6 @@ def _greedy_raw(m: int, kind: dict, down: dict) -> tuple[list[Event], list[int]]
             if strands.nxt[nd] != partner:
                 raise InvariantViolation("merge inputs are live but not adjacent")
             events.append((MERGE, strands.index))
-            order.append(v)
             strands.replace_two((v, 0))
             remaining -= 1
             strands.step_left()
@@ -239,7 +238,7 @@ def _greedy_raw(m: int, kind: dict, down: dict) -> tuple[list[Event], list[int]]
             raise InvariantViolation("bottom stubs out of order")
         k += 1
         nd = strands.nxt[nd]
-    return events, order
+    return events
 
 
 def _redex_at(u: int, kind: dict, down: dict) -> Optional[tuple[str, int]]:
@@ -292,44 +291,38 @@ def _apply_redex(u: int, rxtype: str, v: int, kind: dict, down: dict, up: dict):
 
 
 def _reduce_maps(m: int, n: int, kind: dict, down: dict,
-                 rng: Optional[random.Random]) -> "StrandDiagram":
+                 rng: Optional[random.Random],
+                 seeds: Optional[Iterable[int]] = None) -> "StrandDiagram":
+    """Cancel redexes to a fixpoint, in place, from a worklist of anchors.
+
+    A redex is anchored at its upper vertex, and a rewrite can only
+    create a redex at the source of an edge it adds, so those sources
+    are the only anchors pushed.  ``seeds`` must contain the anchor of
+    every redex present at the start (all vertices when omitted).  With
+    ``rng`` the next anchor is drawn at random from the worklist.
+    """
     up = {dst: src for src, dst in down.items() if isinstance(dst[0], int)}
     nv0 = len(kind)
     steps = 0
-    if rng is None:
-        # Deterministic order: anchors fire by their position in the greedy
-        # linearization of the input (earliest vertex, leftmost strand first).
-        if kind:
-            _, order = _greedy_raw(m, kind, down)
-            prio = {v: i for i, v in enumerate(order)}
-            heap = [(prio[v], v) for v in order]
-            heapq.heapify(heap)
-            while heap:
-                _, u = heapq.heappop(heap)
-                rx = _redex_at(u, kind, down)
-                if rx is None:
-                    continue
-                steps += 1
-                for src, _dst in _apply_redex(u, rx[0], rx[1], kind, down, up):
-                    if isinstance(src[0], int):
-                        heapq.heappush(heap, (prio[src[0]], src[0]))
-    else:
-        cand = sorted(kind)
-        while cand:
-            idx = rng.randrange(len(cand))
-            u = cand[idx]
-            rx = _redex_at(u, kind, down)
-            if rx is None:
-                cand[idx] = cand[-1]
-                cand.pop()
-                continue
-            steps += 1
-            for src, _dst in _apply_redex(u, rx[0], rx[1], kind, down, up):
-                if isinstance(src[0], int):
-                    cand.append(src[0])
+    work = list(kind if seeds is None else seeds)
+    while work:
+        if rng is None:
+            u = work.pop()
+        else:
+            idx = rng.randrange(len(work))
+            u = work[idx]
+            work[idx] = work[-1]
+            work.pop()
+        rx = _redex_at(u, kind, down)
+        if rx is None:
+            continue
+        steps += 1
+        for src, _dst in _apply_redex(u, rx[0], rx[1], kind, down, up):
+            if isinstance(src[0], int):
+                work.append(src[0])
     if 2 * steps > nv0:
         raise InvariantViolation("reduction performed more steps than vertices allow")
-    return StrandDiagram(m, n, kind, down)
+    return StrandDiagram(m, n, kind, down, _reduced=True)
 
 
 class StrandDiagram:
@@ -341,24 +334,22 @@ class StrandDiagram:
     of reduction classes.
     """
 
-    __slots__ = ("m", "n", "_kind", "_down", "_word", "_hash")
+    __slots__ = ("m", "n", "_kind", "_down", "_word", "_hash", "_reduced")
 
     def __init__(self, m: int, n: int, kind: dict, down: dict,
-                 _word: Optional[SliceWord] = None) -> None:
+                 _word: Optional[SliceWord] = None, _reduced: bool = False) -> None:
         self.m = m
         self.n = n
         self._kind = kind
         self._down = down
         self._word = _word
         self._hash: Optional[int] = None
-
-    @staticmethod
-    def from_slices(word: SliceWord) -> "StrandDiagram":
-        return _build(word)
+        #: True once the diagram is known to have no redex.
+        self._reduced = _reduced
 
     def to_slices(self) -> SliceWord:
         if self._word is None:
-            events, _ = _greedy_raw(self.m, self._kind, self._down)
+            events = _greedy_raw(self.m, self._kind, self._down)
             self._word = SliceWord(self.m, tuple(events))
         return self._word
 
@@ -438,15 +429,18 @@ def identity(n: int) -> StrandDiagram:
 
 def is_reduced(d: StrandDiagram) -> bool:
     """True iff no merge-split or split-merge redex exists."""
-    return all(_redex_at(v, d._kind, d._down) is None for v in d._kind)
+    if not d._reduced:
+        d._reduced = all(_redex_at(v, d._kind, d._down) is None for v in d._kind)
+    return d._reduced
 
 
 def reduce(d: StrandDiagram, rng: Optional[random.Random] = None) -> StrandDiagram:
     """Cancel redexes to a fixpoint.
 
-    With ``rng`` the redex order is randomized (useful for confluence
-    experiments); otherwise redexes fire deterministically by greedy
-    linearization order of the input.
+    Reduction is confluent, so the result does not depend on the order
+    in which redexes fire.  With ``rng`` that order is randomized (useful
+    for confluence experiments); otherwise anchors come off a worklist
+    last in, first out.
     """
     if is_reduced(d):
         return d
@@ -455,7 +449,12 @@ def reduce(d: StrandDiagram, rng: Optional[random.Random] = None) -> StrandDiagr
 
 def multiply(a: StrandDiagram, b: StrandDiagram,
              rng: Optional[random.Random] = None) -> StrandDiagram:
-    """Stack ``a`` on top of ``b`` and return the reduced representative."""
+    """Stack ``a`` on top of ``b`` and return the reduced representative.
+
+    When both factors are reduced, every redex of the stack crosses the
+    seam, so only the vertices of ``a`` that feed its bottom stubs seed
+    the reduction.  Unreduced factors seed every vertex.
+    """
     if a.n != b.m:
         raise CompositionError(
             f"cannot stack: left factor has {a.n} sinks, right factor has {b.m} sources"
@@ -478,12 +477,16 @@ def multiply(a: StrandDiagram, b: StrandDiagram,
             seam[src[1]] = re_b(dst)
         else:
             down[re_b(src)] = re_b(dst)
+    feeders = []
     for src, dst in a._down.items():
         if dst[0] == "bot":
             down[re_a(src)] = seam[dst[1]]
+            if isinstance(src[0], int):
+                feeders.append(amap[src[0]])
         else:
             down[re_a(src)] = re_a(dst)
-    return _reduce_maps(a.m, b.n, kind, down, rng)
+    seeds = feeders if a._reduced and b._reduced else None
+    return _reduce_maps(a.m, b.n, kind, down, rng, seeds)
 
 
 def invert(a: StrandDiagram) -> StrandDiagram:
@@ -496,7 +499,9 @@ def invert(a: StrandDiagram) -> StrandDiagram:
     flipped = tuple(
         (MERGE if tag == SPLIT else SPLIT, i) for tag, i in reversed(w.events)
     )
-    return reduce(_build(SliceWord(a.n, flipped)))
+    d = _build(SliceWord(a.n, flipped))
+    d._reduced = a._reduced  # reflection maps redexes to redexes
+    return reduce(d)
 
 
 def encode_word(w: SliceWord) -> str:

@@ -9,12 +9,15 @@ Move files:               forest blocks, each optionally preceded by a
                           line "inv" to traverse the move backwards.
 
 Rationals are written "p/q" or as integers; decimals are accepted on
-input and parsed exactly.  Lines starting with '#' and blank lines are
-ignored everywhere.
+input and parsed exactly, with a decimal exponent of magnitude at most
+``sys.get_int_max_str_digits()`` (4300 by default).  Lines starting
+with '#' and blank lines are ignored everywhere.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import Iterator
 
@@ -28,7 +31,20 @@ from .forests import (
 )
 
 
+#: The decimal exponent of a rational token, as ``Fraction`` reads it.
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_rational(token: str) -> Fraction:
+    # An exponent is bounded like a digit run: by the interpreter's limit
+    # on integer string conversion, so "1e-10000000" cannot force a huge
+    # power of ten.
+    exp = _EXPONENT.search(token)
+    if exp is not None:
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        digits = exp.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or "0") > limit:
+            raise FormatError(f"exponent of {token[:40]!r} exceeds {limit}")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:

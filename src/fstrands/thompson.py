@@ -150,11 +150,10 @@ class FElement:
         return f_inv(self)
 
     def __pow__(self, k: int) -> "FElement":
-        out = FElement.identity()
+        """|k| stacked copies of the element (of its inverse when k < 0),
+        reduced once."""
         g = self if k >= 0 else f_inv(self)
-        for _ in range(abs(k)):
-            out = f_mul(out, g)
-        return out
+        return FElement(from_slices(SliceWord(1, g.rep.to_slices().events * abs(k))))
 
     def __eq__(self, other: object):
         if not isinstance(other, FElement):
@@ -241,18 +240,26 @@ _LETTERS = {
     "B": f_inv(X1),
 }
 
+#: Canonical (1,1) slice events of each generator letter.
+_LETTER_EVENTS = {ch: g.rep.to_slices().events for ch, g in _LETTERS.items()}
+
 
 def from_word(letters: Union[str, Iterable[str]]) -> FElement:
-    """Product of generators; letters a, A, b, B mean x0, x0^-1, x1, x1^-1."""
-    out = FElement.identity()
+    """Product of generators; letters a, A, b, B mean x0, x0^-1, x1, x1^-1.
+
+    The letters' slice words are concatenated into one (1,1) diagram,
+    which is reduced once; reduced forms are unique, so this equals the
+    product taken one letter at a time, in time linear in the word.
+    """
+    events: list[Event] = []
     for ch in letters:
         if ch.isspace():
             continue
         try:
-            out = f_mul(out, _LETTERS[ch])
+            events += _LETTER_EVENTS[ch]
         except KeyError:
             raise DomainError(f"unknown generator letter {ch!r}") from None
-    return out
+    return FElement(from_slices(SliceWord(1, tuple(events))))
 
 
 # ---------------------------------------------------------------------------

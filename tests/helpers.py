@@ -27,7 +27,7 @@ from fstrands.forests import (
     GeneralizedStrandDiagram,
     WeightedElementaryForest,
 )
-from fstrands.thompson import FElement, Tree, TreePair, diagram_tree
+from fstrands.thompson import X0, X1, FElement, Tree, TreePair, diagram_tree, f_inv, f_mul
 
 
 def rng(seed: int) -> random.Random:
@@ -252,3 +252,15 @@ def full_round_tree_pair(a: FElement) -> TreePair:
     """A tree pair of ``a`` whose range is the complete tree of its rounds."""
     tree_part, rounds = full_round_merge_free_form(a.rep)
     return TreePair(diagram_tree(tree_part), complete_tree(rounds))
+
+
+def left_fold_from_word(letters: str) -> FElement:
+    """Reference word product: one group multiply per letter, left to right.
+
+    Quadratic in the word length, so use it on short words only.
+    """
+    gens = {"a": X0, "A": f_inv(X0), "b": X1, "B": f_inv(X1)}
+    out = FElement.identity()
+    for ch in letters:
+        out = f_mul(out, gens[ch])
+    return out

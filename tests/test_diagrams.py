@@ -1,5 +1,7 @@
 """Strand diagram construction, linearization, reduction, groupoid ops."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +163,17 @@ class TestReduce:
         assert red.vertex_count <= d.vertex_count
         assert (d.vertex_count - red.vertex_count) % 2 == 0
 
+    def test_random_order_agrees_on_acceptance_inputs(self):
+        # the first diagrams of the acceptance-01 stream, with its seeds
+        r = rng(101)
+        for _ in range(300):
+            d = random_diagram(r, max_events=40, m_max=6)
+            seeds = [r.randrange(2 ** 30) for _ in range(5)]
+            red = reduce(d)
+            assert is_reduced(from_slices(red.to_slices()))
+            for s in seeds:
+                assert reduce(d, rng=random.Random(s)) == red
+
     @pytest.mark.parametrize("seed", range(30))
     def test_confluence_random_orders(self, seed):
         r = rng(seed)
@@ -219,6 +232,24 @@ class TestMultiply:
         b = random_diagram(r, m=a.n, max_events=10)
         c = random_diagram(r, m=b.n, max_events=10)
         assert equivalent(multiply(multiply(a, b), c), multiply(a, multiply(b, c)))
+
+    @pytest.mark.parametrize("reduce_a", [False, True])
+    @pytest.mark.parametrize("reduce_b", [False, True])
+    def test_product_matches_reduced_stack(self, reduce_a, reduce_b):
+        # the seam-only seed is valid only for reduced factors; raw factors
+        # must still reduce completely
+        r = rng(70 + 2 * reduce_a + reduce_b)
+        for _ in range(60):
+            a = random_diagram(r, max_events=14)
+            b = random_diagram(r, m=a.n, max_events=14)
+            if reduce_a:
+                a = reduce(a)
+            if reduce_b:
+                b = reduce(b)
+            stacked = SliceWord(a.m, a.to_slices().events + b.to_slices().events)
+            p = multiply(a, b)
+            assert p == reduce(from_slices(stacked))
+            assert is_reduced(from_slices(p.to_slices()))
 
     def test_identities_are_units(self):
         r = rng(11)

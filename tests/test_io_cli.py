@@ -9,7 +9,7 @@ from fstrands import textio
 from fstrands.cli import run
 from fstrands.cubes import ball, trivial_vertex
 from fstrands.diagrams import M, S, SliceWord, from_slices, identity
-from fstrands.errors import FormatError
+from fstrands.errors import FormatError, InvariantViolation
 from fstrands.forests import GeneralizedStrandDiagram, WeightedElementaryForest
 from fstrands.render import (
     RenderSpec,
@@ -189,6 +189,34 @@ class TestCli:
         code, _, err = run(["reduce", "-"], "diagram x\n")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("token", ["1e-10000000", "1e4301", "1E+" + "9" * 5000],
+                             ids=["1e-10000000", "1e4301", "5000-digit-exponent"])
+    def test_huge_decimal_exponent_exits_two(self, token, monkeypatch):
+        # rejected before Fraction could build a power of ten that large
+        def no_fraction(*args):
+            raise AssertionError("Fraction reached")
+
+        monkeypatch.setattr(textio, "Fraction", no_fraction)
+        code, out, err = run(["in-cf", "-"], token + "\n")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert "exponent" in err
+
+    def test_exponent_at_the_limit_is_exact(self):
+        assert textio.parse_rational("1e-4300") == F(1, 10 ** 4300)
+        assert textio.parse_rational("25E-2") == F(1, 4)
+
+    def test_invariant_violation_exits_three(self, monkeypatch):
+        def broken(*args):
+            raise InvariantViolation("planted")
+
+        monkeypatch.setattr("fstrands.cli.reduce", broken)
+        code, out, err = run(["reduce", "-"], DIAGRAM_SM)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("internal error: planted")
+        assert "reduce -" in err
 
     def test_unknown_verb_exits_two(self):
         code, _, _ = run(["frobnicate"])

@@ -32,7 +32,7 @@ from fstrands.thompson import (
     tree_splits,
 )
 
-from helpers import full_round_tree_pair, random_f_word, rng
+from helpers import full_round_tree_pair, left_fold_from_word, random_f_word, rng
 
 L = ()
 
@@ -124,6 +124,32 @@ class TestGroupOps:
     def test_rejects_unknown_letter(self):
         with pytest.raises(DomainError):
             from_word("axb")
+
+    def test_from_word_matches_left_fold_reference(self):
+        r = rng(5)
+        for _ in range(200):
+            w = random_f_word(r, 40)
+            assert from_word(w) == left_fold_from_word(w), w
+
+    def test_from_word_skips_whitespace_and_takes_iterables(self):
+        assert from_word(" a B\nA ") == from_word("aBA")
+        assert from_word(iter("aBA")) == from_word("aBA")
+
+    def test_long_power_of_x0_reduces_in_one_pass(self):
+        g = from_word("a" * 1000)
+        assert g.rep.vertex_count == 2002
+        assert g == X0 ** 1000
+
+    @pytest.mark.parametrize("k", range(-5, 6))
+    def test_power_matches_repeated_product(self, k):
+        r = rng(40 + k)
+        for _ in range(10):
+            g = from_word(random_f_word(r, 10))
+            step = g if k >= 0 else f_inv(g)
+            expected = FElement.identity()
+            for _ in range(abs(k)):
+                expected = f_mul(expected, step)
+            assert g ** k == expected
 
 
 class TestTreePairs:
