@@ -35,10 +35,7 @@ from .forests import (
     GeneralizedStrandDiagram,
     WeightedElementaryForest,
     canonicalize_generalized,
-    forest_to_slices,
-    merge_factor,
     random_gmove,
-    split_factor,
 )
 from .thompson import (
     X0,

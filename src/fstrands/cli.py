@@ -4,9 +4,10 @@ Every verb reads files (or "-" for standard input), writes its result to
 standard output, and reports problems on standard error.  Exit codes:
 0 on success, 1 when a well-formed input violates a verb's domain
 (not a configuration, arity mismatch, and so on), 2 on parse errors or
-bad invocations, 3 when an internal invariant fails (a bug; the message
-names the arguments).  Invocations are controlled entirely by flags; there
-are no environment variables or config files.
+bad invocations, 3 when an internal invariant fails or the recursion
+limit or memory runs out (a bug; the message names the arguments).
+Invocations are controlled entirely by flags; there are no environment
+variables or config files.
 """
 
 from __future__ import annotations
@@ -251,8 +252,8 @@ def run(argv: list[str], stdin_text: str = "",
     except DomainError as exc:
         err.write(f"rejected: {exc}\n")
         return 1, out.getvalue(), err.getvalue()
-    except InvariantViolation as exc:
-        err.write(f"internal error: {exc} (argv: {' '.join(argv)})\n")
+    except (InvariantViolation, RecursionError, MemoryError) as exc:
+        err.write(f"internal error: {str(exc) or type(exc).__name__} (argv: {' '.join(argv)})\n")
         return 3, out.getvalue(), err.getvalue()
     return 0, out.getvalue(), err.getvalue()
 

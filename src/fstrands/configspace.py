@@ -15,8 +15,9 @@ bundle: component i spans [L_i, R_i] where
 The image is cut out by three gap conditions (first entry 1, gaps at
 most 1, short gaps isolated between unit gaps), and a three-step
 deformation (scale by 2, translate, compress long gaps left to right)
-retracts every configuration onto that image.  All arithmetic is exact;
-no tolerances appear anywhere in this module.
+moves every configuration into that image, and on the image is
+homotopic to the identity inside it.  All arithmetic is exact; no
+tolerances appear anywhere in this module.
 """
 
 from __future__ import annotations
@@ -171,8 +172,16 @@ def df_section(t: Sequence[Rational]) -> GeneralizedStrandDiagram:
 
 def retract(t: Sequence[Rational]) -> Config:
     """Scale by 2, translate the first entry to 1, then compress every gap
-    above 1 down to 1, left to right.  Lands in the image set exactly."""
-    t = require_cf(t)
+    above 1 down to 1, left to right.  Lands in the image set exactly.
+
+    Not idempotent (``(0, 1/4)`` goes to ``(1, 3/2)``, which goes to
+    ``(1, 2)``), but from an image point t the straight line to
+    ``retract(t)`` stays in the image: the first entry stays 1, each gap
+    g moves to min(2g, 1), and the unit flanks of short gaps stay 1."""
+    return _compress(require_cf(t))
+
+
+def _compress(t: Config) -> Config:
     out = [Fraction(1)]
     for a, b in zip(t, t[1:]):
         out.append(out[-1] + min(2 * (b - a), Fraction(1)))
@@ -199,6 +208,6 @@ def retract_path(t: Sequence[Rational], s: Rational) -> Config:
         shift = u * (1 - scaled[0])
         return tuple(x + shift for x in scaled)
     translated = tuple(x + 1 - scaled[0] for x in scaled)
-    target = retract(t)
+    target = _compress(t)
     u = 3 * s - 2
     return tuple((1 - u) * a + u * b for a, b in zip(translated, target))

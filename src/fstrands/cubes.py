@@ -86,24 +86,44 @@ def upper_bound(x: ComplexVertex, y: ComplexVertex) -> ComplexVertex:
     return ComplexVertex(tree_diagram(joined))
 
 
+def _component_rows(n: int, budget: int) -> Iterator[tuple[str, ...]]:
+    """Component rows on n strands with at most ``budget`` carets, in the
+    order of the full enumeration: merge patterns in lexicographic order,
+    a non-merge before a merge; within a pattern the other components
+    count in binary, first component lowest, E as 0 and S as 1.  Patterns
+    come off an explicit stack that stops placing merges once the budget
+    is spent, and the count skips every row with too many splits."""
+    stack = [((EDGE,) * n, -1, 0)] if budget >= 0 else []
+    while stack:
+        row, j, merges = stack.pop()
+        if j >= 0:  # this entry merges components j and j+1 of ``row``
+            row = row[:j] + (MERGE,) + row[j + 2:]
+            merges += 1
+        if merges < budget:  # later patterns: next merge right of j, rightmost first
+            stack.extend((row, k, merges) for k in range(j + 1, len(row) - 1))
+        slots = [k for k, c in enumerate(row) if c == EDGE]
+        buf, spare = list(row), budget - merges
+        while True:
+            yield tuple(buf)
+            for k in slots:  # the next count that fits the budget
+                if buf[k] == SPLIT:
+                    buf[k] = EDGE
+                    spare += 1
+                elif spare:
+                    buf[k] = SPLIT
+                    spare -= 1
+                    break
+            else:
+                break
+
+
 def elementary_forests_at(n: int) -> Iterator[ElementaryForest]:
-    """All elementary forests with source count n, each exactly once."""
+    """All elementary forests with source count n, each exactly once: first
+    component fastest, E before S, rows that start with a merge last.
+    Iterative, so n may exceed Python's recursion limit."""
     if n < 1:
         raise DomainError(f"strand count must be >= 1, got {n}")
-
-    def gen(left: int) -> Iterator[tuple[str, ...]]:
-        if left == 0:
-            yield ()
-            return
-        for rest in gen(left - 1):
-            yield (EDGE,) + rest
-            yield (SPLIT,) + rest
-        if left >= 2:
-            for rest in gen(left - 2):
-                yield (MERGE,) + rest
-
-    for comps in gen(n):
-        yield ElementaryForest(comps)
+    yield from map(ElementaryForest, _component_rows(n, n))
 
 
 @dataclass(frozen=True)
@@ -149,6 +169,16 @@ class Cube:
             yield eps, self.corner(eps)
 
 
+def _cube(v: ComplexVertex, forest: ElementaryForest, tops: dict) -> Cube:
+    """:func:`cube_from_forest` without its arity check; ``tops`` keeps the
+    top vertex of each merge pattern, so each is built once."""
+    merges = forest.merge_factor()
+    if merges not in tops:
+        tops[merges] = ComplexVertex(multiply(v.diagram, merges.to_diagram()))
+    splits = tuple(SPLIT if c != EDGE else EDGE for c in forest.components)
+    return Cube(tops[merges], ElementaryForest(splits))
+
+
 def cube_from_forest(v: ComplexVertex, forest: ElementaryForest) -> Cube:
     """The canonical cube spanned at ``v`` by an elementary multiplication.
 
@@ -159,24 +189,18 @@ def cube_from_forest(v: ComplexVertex, forest: ElementaryForest) -> Cube:
         raise DomainError(
             f"forest has {forest.sources} sources but vertex has {v.n} sinks"
         )
-    top = ComplexVertex(multiply(v.diagram, forest.merge_factor().to_diagram()))
-    splits = ElementaryForest(
-        tuple(SPLIT if c != EDGE else EDGE for c in forest.components)
-    )
-    return Cube(top, splits)
+    return _cube(v, forest, {})
 
 
 def cubes_at(v: ComplexVertex, max_dim: int) -> Iterator[Cube]:
-    """Each cube incident to ``v`` via a forest with at most max_dim carets."""
-    seen: set[tuple[str, tuple[str, ...]]] = set()
-    for forest in elementary_forests_at(v.n):
-        if forest.caret_count > max_dim:
-            continue
-        cube = cube_from_forest(v, forest)
-        key = (cube.top.label(), cube.splits.components)
-        if key not in seen:
-            seen.add(key)
-            yield cube
+    """Each cube incident to ``v`` via a forest with at most max_dim carets.
+
+    Visits only those O(n^max_dim) forests, in the order of
+    :func:`elementary_forests_at`, and builds each top vertex once.
+    Distinct forests span distinct cubes (``v`` cancels on the left)."""
+    tops: dict = {}
+    for row in _component_rows(v.n, max_dim):
+        yield _cube(v, ElementaryForest(row), tops)
 
 
 def parameterize(cube: Cube, base: ComplexVertex,

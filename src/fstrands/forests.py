@@ -37,6 +37,7 @@ EDGE = "E"
 
 _SOURCES = {EDGE: 1, SPLIT: 1, MERGE: 2}
 _SINKS = {EDGE: 1, SPLIT: 2, MERGE: 1}
+_KINDS = frozenset(_SOURCES)
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,11 @@ class ElementaryForest:
     components: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        for c in self.components:
-            if c not in _SOURCES:
-                raise DomainError(f"unknown forest component {c!r}")
+        comps = tuple(self.components)
+        object.__setattr__(self, "components", comps)
+        if not _KINDS.issuperset(comps):
+            bad = next(c for c in comps if c not in _KINDS)
+            raise DomainError(f"unknown forest component {bad!r}")
 
     @property
     def sources(self) -> int:
@@ -62,15 +64,6 @@ class ElementaryForest:
     @property
     def caret_count(self) -> int:
         return sum(1 for c in self.components if c != EDGE)
-
-    def source_positions(self) -> list[int]:
-        """1-based strand position of each component's leftmost source."""
-        out = []
-        pos = 1
-        for c in self.components:
-            out.append(pos)
-            pos += _SOURCES[c]
-        return out
 
     def split_factor(self) -> "ElementaryForest":
         """The splitting part: each merge caret becomes two parallel edges."""
@@ -100,30 +93,23 @@ class ElementaryForest:
         return SliceWord(self.sources, tuple(events))
 
     def to_diagram(self) -> StrandDiagram:
-        return from_slices(self.to_slices())
+        return _caret_row(self.to_slices())
 
     def __str__(self) -> str:
         return " ".join(self.components)
 
 
-def split_factor(f: ElementaryForest) -> ElementaryForest:
-    """The splitting part of a forest (merge carets undone)."""
-    return f.split_factor()
-
-
-def merge_factor(f: ElementaryForest) -> ElementaryForest:
-    """The merging part of a forest (split carets undone)."""
-    return f.merge_factor()
-
-
-def forest_to_slices(f: ElementaryForest) -> SliceWord:
-    """Slice word with one event per caret, left to right."""
-    return f.to_slices()
+def _caret_row(word: SliceWord) -> StrandDiagram:
+    """The diagram of one row of carets, flagged reduced: a merge's output
+    and a split's legs all go straight to the bottom, so no redex exists."""
+    d = from_slices(word)
+    d._reduced = True
+    return d
 
 
 def caret_diagram(n: int, kind: str, pos: int) -> StrandDiagram:
     """The n-strand forest diagram with a single caret at strand ``pos``."""
-    return from_slices(SliceWord(n, ((kind, pos),)))
+    return _caret_row(SliceWord(n, ((kind, pos),)))
 
 
 Weight = Optional[Fraction]

@@ -20,6 +20,7 @@ from fstrands.diagrams import (
     from_slices,
     multiply,
 )
+from fstrands.cubes import ComplexVertex, cube_from_forest
 from fstrands.errors import InvariantViolation
 from fstrands.forests import (
     EDGE,
@@ -264,3 +265,58 @@ def left_fold_from_word(letters: str) -> FElement:
     for ch in letters:
         out = f_mul(out, gens[ch])
     return out
+
+
+def reference_elementary_forests_at(n: int):
+    """Reference forest enumeration: one recursion level per strand.
+
+    Each row of the rest comes with an edge and then a split in front
+    (first component fastest); the rows that start with a merge come
+    last.  Deeper than the recursion limit for large n, and exponential:
+    use it on small n only.
+    """
+
+    def gen(left: int):
+        if left == 0:
+            yield ()
+            return
+        for rest in gen(left - 1):
+            yield (EDGE,) + rest
+            yield (SPLIT,) + rest
+        if left >= 2:
+            for rest in gen(left - 2):
+                yield (MERGE,) + rest
+
+    for comps in gen(n):
+        yield ElementaryForest(comps)
+
+
+def reference_cubes_at(v: ComplexVertex, max_dim: int):
+    """Reference cube listing: the full enumeration filtered by caret count,
+    with repeated cubes dropped."""
+    seen = set()
+    for forest in reference_elementary_forests_at(v.n):
+        if forest.caret_count > max_dim:
+            continue
+        cube = cube_from_forest(v, forest)
+        key = (cube.top.label(), cube.splits.components)
+        if key not in seen:
+            seen.add(key)
+            yield cube
+
+
+def forests_by_carets(n: int, max_carets: int) -> list[int]:
+    """How many forests on n strands have k carets, for k <= max_carets.
+
+    An edge or a split caret takes one strand and a merge caret two, so
+    c(n, k) = c(n-1, k) + c(n-1, k-1) + c(n-2, k-1), with c(0, k) = [k == 0].
+    """
+    rows = [[1] + [0] * max_carets]
+    for left in range(1, n + 1):
+        rows.append([
+            rows[left - 1][k]
+            + (rows[left - 1][k - 1] if k else 0)
+            + (rows[left - 2][k - 1] if k and left >= 2 else 0)
+            for k in range(max_carets + 1)
+        ])
+    return rows[n]

@@ -248,6 +248,19 @@ class TestRetract:
         t = random_cf_tuple(r, r.randint(1, 12))
         assert canonicalize_cf(retract(t)) == retract(canonicalize_cf(t))
 
+    def test_not_idempotent(self):
+        assert retract(cfg(0, F(1, 4))) == cfg(1, F(3, 2))
+        assert retract(cfg(1, F(3, 2))) == cfg(1, 2)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_straight_line_stays_in_image(self, seed):
+        # on the image, retract is homotopic to the identity inside it
+        t = random_df_point(rng(seed + 200))
+        target = retract(t)
+        for k in range(33):
+            u = F(k, 32)
+            assert is_in_df(tuple((1 - u) * a + u * b for a, b in zip(t, target)))
+
 
 class TestRetractPath:
     def test_endpoints(self):

@@ -2,6 +2,7 @@
 
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -38,10 +39,13 @@ from fstrands.thompson import (
 )
 
 from helpers import (
+    forests_by_carets,
     random_elementary_forest,
     random_f_word,
     random_rational,
     random_vertex_diagram,
+    reference_cubes_at,
+    reference_elementary_forests_at,
     rng,
 )
 
@@ -142,6 +146,17 @@ class TestForestEnumeration:
             )
             assert count == 2 ** n
 
+    def test_order_matches_the_recursive_reference(self):
+        for n in range(1, 11):
+            assert [f.components for f in elementary_forests_at(n)] == [
+                f.components for f in reference_elementary_forests_at(n)
+            ]
+
+    def test_deeper_than_the_recursion_limit(self):
+        n = 5000
+        assert n > sys.getrecursionlimit()
+        assert next(iter(elementary_forests_at(n))).components == (EDGE,) * n
+
 
 class TestCubes:
     def test_trivial_vertex_cubes(self):
@@ -176,6 +191,43 @@ class TestCubes:
     def test_cube_rejects_merge_components(self):
         with pytest.raises(DomainError):
             Cube(trivial_vertex(), ElementaryForest(("M",)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_order_matches_the_filtered_reference(self, seed):
+        r = rng(seed)
+        tree = vtx(*(S(r.randint(1, k)) for k in range(1, r.randint(1, 9))))
+        other = ComplexVertex(random_vertex_diagram(r, 12))
+        while other.n > 9 or other.diagram.merge_count == 0:
+            other = ComplexVertex(random_vertex_diagram(r, 12))
+        for v in (tree, other):
+            for d in range(4):
+                assert [(c.top.label(), c.splits.components) for c in cubes_at(v, d)] == [
+                    (c.top.label(), c.splits.components) for c in reference_cubes_at(v, d)
+                ]
+
+    def test_forty_strand_tree_has_one_cube_per_forest(self):
+        # a tree vertex on 40 strands has about 10**15 forests, but only
+        # those with at most two carets are visited
+        r = rng(40)
+        v = vtx(*(S(r.randint(1, k)) for k in range(1, 40)))
+        assert v.n == 40
+        found = [0, 0, 0]
+        keys = set()
+        for cube in cubes_at(v, 2):
+            found[cube.dimension] += 1
+            keys.add((cube.top.label(), cube.splits.components))
+        assert found == forests_by_carets(40, 2)
+        assert len(keys) == sum(found)
+
+    def test_right_comb_deeper_than_the_recursion_limit(self):
+        n = 1500
+        assert n > sys.getrecursionlimit()
+        v = vtx(*(S(i) for i in range(1, n)))
+        first = list(islice(cubes_at(v, 1), 3))
+        assert [c.top for c in first] == [v, v, v]
+        assert [c.splits.components[:3] for c in first] == [
+            (EDGE, EDGE, EDGE), ("S", EDGE, EDGE), (EDGE, "S", EDGE)
+        ]
 
 
 class TestParameterize:

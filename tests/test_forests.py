@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from fstrands.cubes import elementary_forests_at
 from fstrands.diagrams import (
     M,
     S,
     SliceWord,
+    _redex_at,
     equivalent,
     from_slices,
     identity,
@@ -20,8 +22,8 @@ from fstrands.forests import (
     ElementaryForest,
     GeneralizedStrandDiagram,
     WeightedElementaryForest,
+    caret_diagram,
     canonicalize_generalized,
-    forest_to_slices,
     random_gmove,
 )
 
@@ -57,9 +59,28 @@ class TestElementaryForest:
         )
 
     def test_to_slices(self):
-        assert forest_to_slices(ElementaryForest((E, E))) == SliceWord(2)
-        assert forest_to_slices(ElementaryForest((SC, E))) == SliceWord(2, (S(1),))
-        assert forest_to_slices(ElementaryForest((E, MC))) == SliceWord(3, (M(2),))
+        assert ElementaryForest((E, E)).to_slices() == SliceWord(2)
+        assert ElementaryForest((SC, E)).to_slices() == SliceWord(2, (S(1),))
+        assert ElementaryForest((E, MC)).to_slices() == SliceWord(3, (M(2),))
+
+    def test_rejects_unknown_component(self):
+        with pytest.raises(DomainError, match="'X'"):
+            ElementaryForest((E, "X", SC))
+
+    def test_forest_diagrams_are_flagged_reduced(self):
+        # the flag must agree with a full redex scan of an unflagged copy
+        def scanned(word):
+            d = from_slices(word)
+            assert not d._reduced
+            return all(_redex_at(v, d._kind, d._down) is None for v in d._kind)
+
+        for n in range(1, 7):
+            for f in elementary_forests_at(n):
+                assert (f.to_diagram()._reduced, scanned(f.to_slices())) == (True, True)
+            for kind, last in ((SC, n), (MC, n - 1)):
+                for pos in range(1, last + 1):
+                    word = SliceWord(n, ((kind, pos),))
+                    assert (caret_diagram(n, kind, pos)._reduced, scanned(word)) == (True, True)
 
     def test_factor_arity_bookkeeping(self):
         for seed in range(30):

@@ -218,6 +218,17 @@ class TestCli:
         assert err.startswith("internal error: planted")
         assert "reduce -" in err
 
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_resource_exhaustion_exits_three(self, error, monkeypatch):
+        def broken(*args):
+            raise error()
+
+        monkeypatch.setattr("fstrands.cli._dispatch", broken)
+        code, out, err = run(["reduce", "-"], DIAGRAM_SM)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert err == f"internal error: {error.__name__} (argv: reduce -)\n"
+
     def test_unknown_verb_exits_two(self):
         code, _, _ = run(["frobnicate"])
         assert code == 2
