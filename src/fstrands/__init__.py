@@ -20,7 +20,6 @@ from .diagrams import (
     is_reduced,
     multiply,
     reduce,
-    to_slices,
 )
 from .errors import (
     CompositionError,
@@ -82,5 +81,21 @@ from .configspace import (
     retract_path,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "M", "S", "SliceWord", "StrandDiagram", "canonical_encoding", "equivalent",
+    "from_slices", "identity", "invert", "is_reduced", "multiply", "reduce",
+    "CompositionError", "DomainError", "FormatError", "InvariantViolation",
+    "SliceWordError",
+    "EDGE", "ElementaryForest", "GeneralizedStrandDiagram",
+    "WeightedElementaryForest", "canonicalize_generalized", "random_gmove",
+    "X0", "X1", "FElement", "PLMap", "TreePair", "diagram_to_tree_pair",
+    "f_inv", "f_mul", "from_word", "pl_compose", "pl_eq", "pl_eval", "to_pl",
+    "tree_pair_to_diagram",
+    "BallGraph", "ComplexVertex", "Cube", "OrbitKey", "ball",
+    "cube_from_forest", "cubes_at", "elementary_forests_at", "holonomy",
+    "left_act", "leq", "orbit_key", "parameterize", "trivial_vertex",
+    "upper_bound",
+    "canonicalize_cf", "config_map", "contract_slice", "df_section", "expand",
+    "is_in_cf", "is_in_df", "retract", "retract_path",
+]
 __version__ = "0.1.0"

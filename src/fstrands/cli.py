@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("ball", "1-skeleton ball around a vertex diagram",
             (("file",), {}), (("radius",), {"type": int}))
     p.add_argument("--quotient", action="store_true")
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=int, default=cubes.CAP)
     p.add_argument("--dot", action="store_true", help="emit DOT instead of an edge list")
     add("holonomy", "element carried by a move file", (("file",), {}))
     p = add("render", "render an object to SVG or DOT", (("file",), {}))
@@ -157,6 +157,15 @@ def _dispatch(ns: argparse.Namespace, stdin: io.TextIOBase, out: io.TextIOBase) 
     elif verb == "forests":
         if ns.n < 1:
             raise DomainError("strand count must be at least 1")
+        # forests on n strands: 1, 2, 5, 12, 29, ... (c_n = 2 c_{n-1} + c_{n-2}),
+        # counted only until the cap is passed
+        prev, count = 1, 2
+        for _ in range(ns.n - 1):
+            if count > cubes.CAP:
+                break
+            prev, count = count, 2 * count + prev
+        if count > cubes.CAP:
+            raise DomainError(f"{ns.n} strands carry more than {cubes.CAP} forests")
         for f in cubes.elementary_forests_at(ns.n):
             out.write(str(f) + "\n")
     elif verb == "cubes":

@@ -39,7 +39,7 @@ Config = tuple[Fraction, ...]
 
 
 def as_config(values: Iterable[Rational]) -> Config:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def is_in_cf(t: Sequence[Rational]) -> bool:

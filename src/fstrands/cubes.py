@@ -38,10 +38,6 @@ from .forests import (
 )
 from .thompson import FElement, common_refinement, diagram_tree, merge_free_form, tree_diagram
 
-#: Points of the complex are canonical generalized strand diagrams.
-ComplexPoint = GeneralizedStrandDiagram
-
-
 @dataclass(frozen=True)
 class ComplexVertex:
     """A reduced (1,n) strand diagram."""
@@ -204,7 +200,7 @@ def cubes_at(v: ComplexVertex, max_dim: int) -> Iterator[Cube]:
 
 
 def parameterize(cube: Cube, base: ComplexVertex,
-                 coords: Sequence[Union[Fraction, int, str]]) -> ComplexPoint:
+                 coords: Sequence[Union[Fraction, int, str]]) -> GeneralizedStrandDiagram:
     """The canonical point of ``cube`` with the given coordinates seen
     from the corner ``base`` (which maps to all-zero coordinates)."""
     d = cube.dimension
@@ -245,7 +241,7 @@ class OrbitKey:
         return f"{self.n}|" + ".".join(bits)
 
 
-def orbit_key(p: ComplexPoint) -> OrbitKey:
+def orbit_key(p: GeneralizedStrandDiagram) -> OrbitKey:
     """Constant on left-multiplication orbits; distinguishes distinct ones.
 
     Merge carets of the canonical forest are re-read from the top corner
@@ -268,7 +264,7 @@ def left_act(g: FElement, p: GeneralizedStrandDiagram) -> GeneralizedStrandDiagr
     return GeneralizedStrandDiagram(multiply(g.rep, p.base), p.forest)
 
 
-def vertex_point(v: ComplexVertex) -> ComplexPoint:
+def vertex_point(v: ComplexVertex) -> GeneralizedStrandDiagram:
     return GeneralizedStrandDiagram.vertex(v.diagram)
 
 
@@ -294,8 +290,13 @@ def _vertex_neighbors(x: ComplexVertex) -> Iterator[tuple[str, ComplexVertex]]:
         yield "down", ComplexVertex(multiply(x.diagram, caret_diagram(n, MERGE, i)))
 
 
+#: Default bound on the vertices ``ball`` visits and the rows ``fstrands
+#: forests`` lists.
+CAP = 100_000
+
+
 def ball(v: ComplexVertex, radius: int, quotient: bool = False,
-         cap: int = 100_000) -> BallGraph:
+         cap: int = CAP) -> BallGraph:
     """Breadth-first closure of single-caret moves out to ``radius``."""
     if radius < 0:
         raise DomainError("radius must be nonnegative")

@@ -116,7 +116,8 @@ Weight = Optional[Fraction]
 
 
 def _as_weight(w) -> Fraction:
-    w = Fraction(w)
+    if type(w) is not Fraction:
+        w = Fraction(w)
     if not 0 <= w <= 1:
         raise DomainError(f"caret weight {w} outside [0, 1]")
     return w
@@ -159,7 +160,7 @@ class WeightedElementaryForest:
                 weights.append(None)
             else:
                 kinds.append(p[0])
-                weights.append(Fraction(p[1]))
+                weights.append(p[1])  # __post_init__ makes it a Fraction
         return cls(tuple(kinds), tuple(weights))
 
     @classmethod
@@ -211,9 +212,6 @@ class GeneralizedStrandDiagram:
     @classmethod
     def vertex(cls, base: StrandDiagram) -> "GeneralizedStrandDiagram":
         return cls(base, WeightedElementaryForest.edges(base.n))
-
-    def is_canonical(self) -> bool:
-        return canonicalize_generalized(self) == self
 
     def __repr__(self) -> str:
         return f"GeneralizedStrandDiagram({self.base!r}, [{self.forest}])"

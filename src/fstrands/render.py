@@ -17,12 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cubes import BallGraph
-from .diagrams import MERGE, SPLIT, StrandDiagram
+from .diagrams import SPLIT, StrandDiagram
 from .errors import DomainError
-from .forests import EDGE, GeneralizedStrandDiagram
-
-_SINK_SOURCES = {EDGE: 1, SPLIT: 1, MERGE: 2}
-_SINK_SINKS = {EDGE: 1, SPLIT: 2, MERGE: 1}
+from .forests import _SINKS, _SOURCES, EDGE, GeneralizedStrandDiagram
 
 
 @dataclass(frozen=True)
@@ -164,8 +161,8 @@ def render_generalized_svg(g: GeneralizedStrandDiagram, spec: RenderSpec) -> str
             canvas.dot(dst, t + 1)
             if spec.labels:
                 canvas.text(dst, t + 1, str(w))
-        src += _SINK_SOURCES[kind]
-        dst += _SINK_SINKS[kind]
+        src += _SOURCES[kind]
+        dst += _SINKS[kind]
     return canvas.document()
 
 

@@ -194,10 +194,283 @@ def structural_signature(d: StrandDiagram) -> tuple:
     """Boundary-respecting fingerprint of the wiring, independent of the
     greedy linearization.  Vertices are renamed by first visit in a
     deterministic traversal from the top stubs."""
-    down = d._down
+    down, kind = d._down, d._kind
     names: dict[int, int] = {}
     out: list[tuple] = []
-    queue: list[tuple] = [("top", k) for k in range(d.m)]
+    queue: list[int] = [~k for k in range(d.m)]
+    qi = 0
+    while qi < len(queue):
+        src = queue[qi]
+        qi += 1
+        dst = down[src]
+        if dst >= 0:
+            v = dst >> 1
+            if v not in names:
+                names[v] = len(names)
+                if kind[v] == SPLIT:
+                    queue.append(2 * v)
+                    queue.append(2 * v + 1)
+                else:
+                    queue.append(2 * v)
+            dkey = f"{kind[v]}{names[v]}.{dst & 1}"
+        else:
+            dkey = f"bot{~dst}"
+        if src >= 0:
+            skey = f"{kind[src >> 1]}{names[src >> 1]}.{src & 1}"
+        else:
+            skey = f"top{~src}"
+        out.append((skey, dkey))
+    return (d.m, d.n, tuple(sorted(out)))
+
+
+def check_tables(d: StrandDiagram) -> None:
+    """Assert that the tables a diagram carries agree with its wiring.
+
+    ``_up`` is the exact inverse of ``_down`` on vertex ports, ``_bot[k]``
+    is the one out-endpoint wired to sink ``~k``, every vertex owns the
+    ports its kind calls for, and every vertex id is below ``_slots``.
+    """
+    down, kind = d._down, d._kind
+    assert d._up == {t: e for e, t in down.items() if t >= 0}
+    assert len(d._bot) == d.n
+    assert {e: t for e, t in down.items() if t < 0} == {e: ~k for k, e in enumerate(d._bot)}
+    assert all(0 <= v < d._slots for v in kind)
+    outs = {~k for k in range(d.m)}
+    for v, k in kind.items():
+        outs.update((2 * v, 2 * v + 1) if k == SPLIT else (2 * v,))
+    assert set(down) == outs
+    ins = set()
+    for v, k in kind.items():
+        ins.update((2 * v,) if k == SPLIT else (2 * v, 2 * v + 1))
+    assert set(d._up) == ins
+
+
+# ---------------------------------------------------------------------------
+# reference diagram core: tuple endpoints
+#
+# The library's first core, kept as the reference for the int-encoded one.
+# Out-endpoints are ("top", k) or (vid, port); in-endpoints are ("bot", k)
+# or (vid, port).  A diagram is the tuple (m, n, kind, down).
+
+_HEAD = ("H", -1)
+_TAIL = ("T", -1)
+
+
+class _Strands:
+    """Doubly linked cross-section of live out-endpoints, with a cursor."""
+
+    __slots__ = ("nxt", "prv", "node", "index")
+
+    def __init__(self, nodes) -> None:
+        self.nxt: dict = {}
+        self.prv: dict = {}
+        prev = _HEAD
+        for nd in nodes:
+            self.nxt[prev] = nd
+            self.prv[nd] = prev
+            prev = nd
+        self.nxt[prev] = _TAIL
+        self.prv[_TAIL] = prev
+        self.node = self.nxt[_HEAD]
+        self.index = 1
+
+    def is_live(self, nd: tuple) -> bool:
+        return nd in self.nxt and nd is not _HEAD
+
+    def seek(self, i: int) -> None:
+        while self.index < i:
+            self.node = self.nxt[self.node]
+            self.index += 1
+        while self.index > i:
+            self.node = self.prv[self.node]
+            self.index -= 1
+
+    def step_right(self) -> None:
+        self.node = self.nxt[self.node]
+        self.index += 1
+
+    def step_left(self) -> None:
+        if self.index > 1:
+            self.node = self.prv[self.node]
+            self.index -= 1
+
+    def replace_one(self, new: list[tuple]) -> None:
+        """Replace the node under the cursor by one or two nodes."""
+        old = self.node
+        left, right = self.prv[old], self.nxt[old]
+        del self.nxt[old], self.prv[old]
+        prev = left
+        for nd in new:
+            self.nxt[prev] = nd
+            self.prv[nd] = prev
+            prev = nd
+        self.nxt[prev] = right
+        self.prv[right] = prev
+        self.node = new[0]
+
+    def replace_two(self, new: tuple) -> None:
+        """Replace the node under the cursor and its successor by one node."""
+        a = self.node
+        b = self.nxt[a]
+        left, right = self.prv[a], self.nxt[b]
+        del self.nxt[a], self.prv[a], self.nxt[b], self.prv[b]
+        self.nxt[left] = new
+        self.prv[new] = left
+        self.nxt[new] = right
+        self.prv[right] = new
+        self.node = new
+
+
+def reference_build(word: SliceWord) -> tuple:
+    strands = _Strands(("top", k) for k in range(word.sources))
+    kind: dict = {}
+    down: dict = {}
+    for v, (tag, i) in enumerate(word.events):
+        strands.seek(i)
+        kind[v] = tag
+        if tag == SPLIT:
+            down[strands.node] = (v, 0)
+            strands.replace_one([(v, 0), (v, 1)])
+        else:
+            down[strands.node] = (v, 0)
+            down[strands.nxt[strands.node]] = (v, 1)
+            strands.replace_two((v, 0))
+    strands.seek(1)
+    k = 0
+    nd = strands.node
+    while nd is not _TAIL:
+        down[nd] = ("bot", k)
+        k += 1
+        nd = strands.nxt[nd]
+    return (word.sources, k, kind, down)
+
+
+def reference_greedy(ref: tuple) -> tuple[Event, ...]:
+    """Greedy leftmost linearization of a reference diagram."""
+    m, _n, kind, down = ref
+    up = {dst: src for src, dst in down.items() if isinstance(dst[0], int)}
+    strands = _Strands(("top", k) for k in range(m))
+    events: list[Event] = []
+    remaining = len(kind)
+    while remaining:
+        nd = strands.node
+        if nd is _TAIL:
+            raise InvariantViolation("no ready vertex found; wiring is not planar-acyclic")
+        dst = down[nd]
+        v = dst[0]
+        if not isinstance(v, int):
+            strands.step_right()
+            continue
+        if kind[v] == SPLIT:
+            events.append((SPLIT, strands.index))
+            strands.replace_one([(v, 0), (v, 1)])
+            remaining -= 1
+            strands.step_left()
+            continue
+        if dst[1] == 1:
+            strands.step_right()
+            continue
+        partner = up[(v, 1)]
+        if strands.is_live(partner):
+            if strands.nxt[nd] != partner:
+                raise InvariantViolation("merge inputs are live but not adjacent")
+            events.append((MERGE, strands.index))
+            strands.replace_two((v, 0))
+            remaining -= 1
+            strands.step_left()
+        else:
+            strands.step_right()
+    strands.seek(1)
+    k = 0
+    nd = strands.node
+    while nd is not _TAIL:
+        if down[nd] != ("bot", k):
+            raise InvariantViolation("bottom stubs out of order")
+        k += 1
+        nd = strands.nxt[nd]
+    return tuple(events)
+
+
+def _reference_redex_at(u: int, kind: dict, down: dict):
+    ku = kind.get(u)
+    if ku is None:
+        return None
+    if ku == MERGE:
+        v = down[(u, 0)][0]
+        if isinstance(v, int) and kind[v] == SPLIT:
+            return ("I", v)
+        return None
+    t0 = down[(u, 0)]
+    v = t0[0]
+    if isinstance(v, int) and kind[v] == MERGE and t0[1] == 0 and down[(u, 1)] == (v, 1):
+        return ("II", v)
+    return None
+
+
+def reference_reduce(ref: tuple) -> tuple:
+    """Reduce a copy of a reference diagram from a worklist seeded with
+    every vertex, rebuilding the inverse wiring once."""
+    m, n, kind, down = ref
+    kind, down = dict(kind), dict(down)
+    up = {dst: src for src, dst in down.items() if isinstance(dst[0], int)}
+    work = list(kind)
+    while work:
+        u = work.pop()
+        rx = _reference_redex_at(u, kind, down)
+        if rx is None:
+            continue
+        v = rx[1]
+        if rx[0] == "I":
+            a0, a1 = up[(u, 0)], up[(u, 1)]
+            b0, b1 = down[(v, 0)], down[(v, 1)]
+            del up[(u, 0)], up[(u, 1)], up[(v, 0)]
+            del down[(u, 0)], down[(v, 0)], down[(v, 1)]
+            edges = ((a0, b0), (a1, b1))
+        else:
+            a, b = up[(u, 0)], down[(v, 0)]
+            del up[(u, 0)], up[(v, 0)], up[(v, 1)]
+            del down[(u, 0)], down[(u, 1)], down[(v, 0)]
+            edges = ((a, b),)
+        del kind[u], kind[v]
+        for src, dst in edges:
+            down[src] = dst
+            if isinstance(dst[0], int):
+                up[dst] = src
+            if isinstance(src[0], int):
+                work.append(src[0])
+    return (m, n, kind, down)
+
+
+def reference_stack(a: tuple, b: tuple) -> tuple:
+    """Stack reference diagram ``a`` on ``b``, renumbering both, unreduced."""
+    am, an, akind, adown = a
+    _bm, bn, bkind, bdown = b
+    amap = {v: i for i, v in enumerate(akind)}
+    bmap = {v: len(amap) + i for i, v in enumerate(bkind)}
+
+    def re(ep: tuple, vmap: dict) -> tuple:
+        return ep if not isinstance(ep[0], int) else (vmap[ep[0]], ep[1])
+
+    kind = {amap[v]: k for v, k in akind.items()}
+    kind.update({bmap[v]: k for v, k in bkind.items()})
+    seam = {}
+    down: dict = {}
+    for src, dst in bdown.items():
+        if src[0] == "top":
+            seam[src[1]] = re(dst, bmap)
+        else:
+            down[re(src, bmap)] = re(dst, bmap)
+    for src, dst in adown.items():
+        down[re(src, amap)] = seam[dst[1]] if dst[0] == "bot" else re(dst, amap)
+    return (am, bn, kind, down)
+
+
+def reference_signature(ref: tuple) -> tuple:
+    """:func:`structural_signature` of a reference diagram."""
+    m, n, kind, down = ref
+    names: dict[int, int] = {}
+    out: list[tuple] = []
+    queue: list[tuple] = [("top", k) for k in range(m)]
     qi = 0
     while qi < len(queue):
         src = queue[qi]
@@ -207,20 +480,20 @@ def structural_signature(d: StrandDiagram) -> tuple:
         if isinstance(v, int):
             if v not in names:
                 names[v] = len(names)
-                if d._kind[v] == SPLIT:
+                if kind[v] == SPLIT:
                     queue.append((v, 0))
                     queue.append((v, 1))
                 else:
                     queue.append((v, 0))
-            dkey = f"{d._kind[v]}{names[v]}.{dst[1]}"
+            dkey = f"{kind[v]}{names[v]}.{dst[1]}"
         else:
             dkey = f"bot{dst[1]}"
         if isinstance(src[0], int):
-            skey = f"{d._kind[src[0]]}{names[src[0]]}.{src[1]}"
+            skey = f"{kind[src[0]]}{names[src[0]]}.{src[1]}"
         else:
             skey = f"top{src[1]}"
         out.append((skey, dkey))
-    return (d.m, d.n, tuple(sorted(out)))
+    return (m, n, tuple(sorted(out)))
 
 
 def complete_tree(depth: int) -> Tree:

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fstrands import diagrams
 from fstrands.diagrams import (
+    MERGE,
+    SPLIT,
     M,
     S,
     SliceWord,
+    StrandDiagram,
     canonical_encoding,
     equivalent,
     from_slices,
@@ -19,12 +23,20 @@ from fstrands.diagrams import (
     multiply,
     reduce,
 )
-from fstrands.errors import CompositionError, SliceWordError
+from fstrands.errors import CompositionError, InvariantViolation, SliceWordError
+from fstrands.forests import caret_diagram
 
 from helpers import (
+    check_tables,
     commutation_closure,
     random_diagram,
     random_slice_word,
+    random_vertex_diagram,
+    reference_build,
+    reference_greedy,
+    reference_reduce,
+    reference_signature,
+    reference_stack,
     rng,
     structural_signature,
 )
@@ -302,3 +314,110 @@ class TestEncoding:
         assert canonical_encoding(from_slices(spliced)) == canonical_encoding(
             from_slices(w)
         )
+
+
+def _matches_reference(d, ref) -> None:
+    check_tables(d)
+    assert d.to_slices().events == reference_greedy(ref)
+    assert d.vertex_count == len(ref[2])
+    assert structural_signature(d) == reference_signature(ref)
+
+
+class TestIntCoreAgainstReference:
+    """The int-endpoint core against the tuple-endpoint reference in
+    ``helpers``: same canonical words, vertex counts and fingerprints,
+    and consistent carried tables after every operation."""
+
+    @pytest.mark.parametrize("block", range(10))
+    def test_build_reduce_invert(self, block):
+        r = rng(7000 + block)
+        for _ in range(50):
+            w = random_slice_word(r, max_events=40, m_max=4)
+            d = from_slices(w)
+            ref = reference_build(w)
+            _matches_reference(d, ref)
+            red = reduce(d)
+            _matches_reference(red, reference_reduce(ref))
+            _matches_reference(d, ref)  # reduce copies, never edits its input
+            flipped = tuple((M if tag == SPLIT else S)(i)
+                            for tag, i in reversed(reference_greedy(ref)))
+            inv = invert(d)
+            _matches_reference(inv, reference_reduce(reference_build(SliceWord(d.n, flipped))))
+
+    @pytest.mark.parametrize("reduce_b", [False, True])
+    @pytest.mark.parametrize("reduce_a", [False, True])
+    def test_products(self, reduce_a, reduce_b):
+        r = rng(7100 + 2 * reduce_a + reduce_b)
+        for _ in range(60):
+            wa = random_slice_word(r, max_events=30, m_max=4)
+            wb = random_slice_word(r, m=wa.sinks, max_events=30)
+            a, b = from_slices(wa), from_slices(wb)
+            if reduce_a:
+                a = reduce(a)
+            if reduce_b:
+                b = reduce(b)
+            ref_a, ref_b = reference_build(wa), reference_build(wb)
+            if reduce_a:
+                ref_a = reference_reduce(ref_a)
+            if reduce_b:
+                ref_b = reference_reduce(ref_b)
+            p = multiply(a, b)
+            _matches_reference(p, reference_reduce(reference_stack(ref_a, ref_b)))
+            _matches_reference(a, ref_a)
+            _matches_reference(b, ref_b)
+            q = multiply(p, invert(b))
+            _matches_reference(q, reference_reduce(ref_a))
+
+    def test_chained_products_keep_tables(self):
+        r = rng(7200)
+        d = random_vertex_diagram(r)
+        for _ in range(200):
+            kind = r.choice((SPLIT, MERGE)) if d.n > 1 else SPLIT
+            pos = r.randint(1, d.n - (kind == MERGE))
+            d = multiply(d, caret_diagram(d.n, kind, pos))
+            check_tables(d)
+            assert d._reduced and is_reduced(StrandDiagram(
+                d.m, d.n, dict(d._kind), dict(d._down), dict(d._up), list(d._bot), d._slots))
+
+    def test_single_caret_product_seeds_at_most_two_anchors(self, monkeypatch):
+        seen = []
+        real = diagrams._reduce_maps
+
+        def spy(d, rng, seeds=None):
+            seen.append(None if seeds is None else len(seeds))
+            return real(d, rng, seeds)
+
+        monkeypatch.setattr(diagrams, "_reduce_maps", spy)
+        r = rng(7300)
+        for _ in range(100):
+            v = random_vertex_diagram(r)
+            for kind in (SPLIT, MERGE):
+                if kind == MERGE and v.n < 2:
+                    continue
+                caret = caret_diagram(v.n, kind, r.randint(1, v.n - (kind == MERGE)))
+                seen.clear()
+                multiply(v, caret)
+                assert len(seen) == 1 and seen[0] is not None and seen[0] <= 2
+
+
+class TestWiringChecks:
+    """Linearization refuses wirings that no slice word describes."""
+
+    def test_bottom_stubs_out_of_order(self):
+        d = StrandDiagram(2, 2, {}, {~0: ~1, ~1: ~0}, {}, [~1, ~0], 0)
+        with pytest.raises(InvariantViolation, match="out of order"):
+            d.to_slices()
+
+    def test_merge_inputs_not_adjacent(self):
+        # stubs 0 and 2 merge while stub 1 runs straight through
+        d = StrandDiagram(3, 2, {0: MERGE}, {~0: 0, ~2: 1, ~1: ~0, 0: ~1},
+                          {0: ~0, 1: ~2}, [~1, 0], 1)
+        with pytest.raises(InvariantViolation, match="not adjacent"):
+            d.to_slices()
+
+    def test_cycle_has_no_ready_vertex(self):
+        # a merge fed by a split that the merge itself feeds
+        d = StrandDiagram(1, 1, {0: MERGE, 1: SPLIT}, {~0: 0, 2: 1, 0: 2, 3: ~0},
+                          {0: ~0, 1: 2, 2: 0}, [3], 2)
+        with pytest.raises(InvariantViolation, match="no ready vertex"):
+            d.to_slices()

@@ -1,5 +1,6 @@
 """Text formats, renderers, and the command-line front end."""
 
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -263,6 +264,22 @@ class TestCli:
         code, out, _ = run(["forests", "3"])
         assert code == 0
         assert len(out.splitlines()) == 12
+
+    def test_forests_up_to_the_cap(self):
+        code, out, _ = run(["forests", "13"])
+        assert code == 0
+        assert len(out.splitlines()) == 80782
+
+    @pytest.mark.parametrize("n", ["14", "5000", "10000000"])
+    def test_forests_past_the_cap_rejected(self, n):
+        t0 = time.perf_counter()
+        code, out, err = run(["forests", n])
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("rejected:") and err.count("\n") == 1
+
+    def test_forests_zero_rejected(self):
+        assert run(["forests", "0"])[:2] == (1, "")
 
     def test_cubes_listing(self):
         code, out, _ = run(["cubes", "-", "--max-dim", "1"], "diagram 1\n")
