@@ -13,6 +13,7 @@ variables or config files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import sys
 
@@ -22,8 +23,20 @@ from .errors import DomainError, FormatError, InvariantViolation
 from .thompson import from_word, pl_eval, to_pl
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad invocation in one line, without the usage block."""
+
+    def error(self, message: str):
+        self.exit(2, _line("error", message))
+
+
+def _line(prefix: str, message: str) -> str:
+    """One stderr line, even when the message quotes a newline from the input."""
+    return f"{prefix}: {' '.join(message.splitlines())}\n"
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="fstrands",
         description="Strand diagram calculus, cube complex and configuration tools",
     )
@@ -209,27 +222,7 @@ def _render(ns: argparse.Namespace, stdin: io.TextIOBase, out: io.TextIOBase) ->
         t = configspace.require_cf(textio.parse_config(text))
         out.write(render.render_config_svg(t, spec))
     else:  # ball: re-render an edge list
-        edges = []
-        names: list[str] = []
-        seen = set()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(" -- ")
-            if len(parts) != 2:
-                raise FormatError(f"line {lineno}: expected 'a -- b'")
-            a, b = parts[0].strip(), parts[1].strip()
-            edges.append((a, b))
-            for v in (a, b):
-                if v not in seen:
-                    seen.add(v)
-                    names.append(v)
-        graph = cubes.BallGraph(
-            root=names[0] if names else "",
-            vertices=tuple(sorted(seen)),
-            edges=tuple(edges),
-        )
+        graph = textio.parse_ball(text)
         if fmt == "text":
             out.write(render.ball_edge_text(graph))
             return
@@ -243,27 +236,21 @@ def run(argv: list[str], stdin_text: str = "",
     """Run one invocation; returns (exit code, stdout, stderr)."""
     out = io.StringIO()
     err = io.StringIO()
-    parser = _build_parser()
     try:
-        try:
-            old_stderr = sys.stderr
-            sys.stderr = err
-            ns = parser.parse_args(argv)
-        finally:
-            sys.stderr = old_stderr
+        # help goes to ``out`` and bad invocations to ``err``, as with a shell
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2, out.getvalue(), err.getvalue())
     try:
         _dispatch(ns, _stdin if _stdin is not None else io.StringIO(stdin_text), out)
     except FormatError as exc:
-        err.write(f"error: {exc}\n")
-        return 2, out.getvalue(), err.getvalue()
+        return 2, out.getvalue(), _line("error", str(exc))
     except DomainError as exc:
-        err.write(f"rejected: {exc}\n")
-        return 1, out.getvalue(), err.getvalue()
+        return 1, out.getvalue(), _line("rejected", str(exc))
     except (InvariantViolation, RecursionError, MemoryError) as exc:
-        err.write(f"internal error: {str(exc) or type(exc).__name__} (argv: {' '.join(argv)})\n")
-        return 3, out.getvalue(), err.getvalue()
+        return 3, out.getvalue(), _line(
+            "internal error", f"{str(exc) or type(exc).__name__} (argv: {' '.join(argv)})")
     return 0, out.getvalue(), err.getvalue()
 
 

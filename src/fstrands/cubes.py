@@ -36,7 +36,7 @@ from .forests import (
     canonicalize_generalized,
     caret_diagram,
 )
-from .thompson import FElement, common_refinement, diagram_tree, merge_free_form, tree_diagram
+from .thompson import FElement, common_refinement, diagram_tree, tree_diagram
 
 @dataclass(frozen=True)
 class ComplexVertex:
@@ -73,12 +73,11 @@ def leq(x: ComplexVertex, y: ComplexVertex) -> bool:
 def upper_bound(x: ComplexVertex, y: ComplexVertex) -> ComplexVertex:
     """A common refinement above both vertices.
 
-    Both vertices are first split until merge-free, which makes them
-    trees; the leafwise common refinement of the two trees bounds both.
+    Each vertex lies below its split tree (:func:`diagram_tree`, read in
+    one walk), and the leafwise common refinement of the two trees bounds
+    both.
     """
-    tx, _ = merge_free_form(x.diagram)
-    ty, _ = merge_free_form(y.diagram)
-    joined = common_refinement(diagram_tree(tx), diagram_tree(ty))
+    joined = common_refinement(diagram_tree(x.diagram), diagram_tree(y.diagram))
     return ComplexVertex(tree_diagram(joined))
 
 

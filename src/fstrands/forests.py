@@ -40,6 +40,16 @@ _SINKS = {EDGE: 1, SPLIT: 2, MERGE: 1}
 _KINDS = frozenset(_SOURCES)
 
 
+def _positions(kinds: Iterable[str], arity: dict = _SOURCES) -> list[int]:
+    """1-based position of each component, after the ``arity`` strands of those before it."""
+    out = []
+    pos = 1
+    for k in kinds:
+        out.append(pos)
+        pos += arity[k]
+    return out
+
+
 @dataclass(frozen=True)
 class ElementaryForest:
     """An ordered row of edge / split caret / merge caret components."""
@@ -79,17 +89,11 @@ class ElementaryForest:
         )
 
     def to_slices(self) -> SliceWord:
-        events = []
-        pos = 1
-        for c in self.components:
-            if c == SPLIT:
-                events.append((SPLIT, pos))
-                pos += 2
-            elif c == MERGE:
-                events.append((MERGE, pos))
-                pos += 1
-            else:
-                pos += 1
+        # left to right, each caret acts once the carets before it have
+        # turned their strands into sinks
+        comps = self.components
+        pos = _positions(comps, _SINKS)
+        events = [(c, pos[i]) for i, c in enumerate(comps) if c != EDGE]
         return SliceWord(self.sources, tuple(events))
 
     def to_diagram(self) -> StrandDiagram:
@@ -217,15 +221,6 @@ class GeneralizedStrandDiagram:
         return f"GeneralizedStrandDiagram({self.base!r}, [{self.forest}])"
 
 
-def _positions(comps: list[tuple[str, Weight]]) -> list[int]:
-    out = []
-    pos = 1
-    for k, _ in comps:
-        out.append(pos)
-        pos += _SOURCES[k]
-    return out
-
-
 def canonicalize_generalized(g: GeneralizedStrandDiagram) -> GeneralizedStrandDiagram:
     """Rewrite to the unique representative of the class of ``g``.
 
@@ -253,7 +248,7 @@ def canonicalize_generalized(g: GeneralizedStrandDiagram) -> GeneralizedStrandDi
         if changed:
             continue
         # weight-1 carets are absorbed into the base
-        pos = _positions(comps)
+        pos = _positions(k for k, _ in comps)
         for i, (k, w) in enumerate(comps):
             if w == 1:
                 base = multiply(base, caret_diagram(base.n, k, pos[i]))
@@ -268,7 +263,7 @@ def canonicalize_generalized(g: GeneralizedStrandDiagram) -> GeneralizedStrandDi
         # interface rewrites at the seam
         split_pairs = base.bottom_split_pairs()
         merge_stubs = base.bottom_merge_positions()
-        pos = _positions(comps)
+        pos = _positions(k for k, _ in comps)
         for i, (k, w) in enumerate(comps):
             if k == MERGE and pos[i] in split_pairs:
                 base = multiply(base, caret_diagram(base.n, MERGE, pos[i]))
@@ -297,7 +292,7 @@ def random_gmove(g: GeneralizedStrandDiagram,
     r = seed if isinstance(seed, random.Random) else random.Random(seed)
     base = g.base
     comps = g.forest.pairs()
-    pos = _positions(comps)
+    pos = _positions(k for k, _ in comps)
     strand_comp = {}
     for i, (k, _) in enumerate(comps):
         for s in range(pos[i], pos[i] + _SOURCES[k]):

@@ -7,6 +7,8 @@ Generalized diagrams:     a diagram block followed by a forest block.
 Configurations:           one line of whitespace-separated rationals.
 Move files:               forest blocks, each optionally preceded by a
                           line "inv" to traverse the move backwards.
+Ball edge lists:          lines "<a> -- <b>"; the first vertex named is
+                          the root.
 
 Rationals are written "p/q" or as integers; decimals are accepted on
 input and parsed exactly, with a decimal exponent of magnitude at most
@@ -21,6 +23,7 @@ import sys
 from fractions import Fraction
 from typing import Iterator
 
+from .cubes import BallGraph
 from .diagrams import MERGE, SPLIT, SliceWord, StrandDiagram, from_slices
 from .errors import FormatError, SliceWordError
 from .forests import (
@@ -49,10 +52,6 @@ def parse_rational(token: str) -> Fraction:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"cannot read {token!r} as a rational") from exc
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x)
 
 
 def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -135,7 +134,7 @@ def parse_forest(text: str) -> WeightedElementaryForest:
 def emit_forest(f: WeightedElementaryForest) -> str:
     lines = [f"forest {len(f.kinds)}"]
     for kind, w in f.pairs():
-        lines.append(kind if w is None else f"{kind} {format_rational(w)}")
+        lines.append(kind if w is None else f"{kind} {w}")
     return "\n".join(lines) + "\n"
 
 
@@ -179,7 +178,7 @@ def parse_config(text: str) -> tuple[Fraction, ...]:
 
 
 def emit_config(t: tuple[Fraction, ...]) -> str:
-    return " ".join(format_rational(x) for x in t) + "\n"
+    return " ".join(map(str, t)) + "\n"
 
 
 def parse_moves(text: str) -> list[tuple[int, ElementaryForest]]:
@@ -207,3 +206,15 @@ def parse_moves(text: str) -> list[tuple[int, ElementaryForest]]:
     if not moves:
         raise FormatError("no forest blocks found")
     return moves
+
+
+def parse_ball(text: str) -> BallGraph:
+    """A ball's edge list, as :func:`fstrands.render.ball_edge_text` writes it."""
+    edges = []
+    for lineno, parts in _lines(text):
+        if len(parts) != 3 or parts[1] != "--":
+            raise FormatError(f"line {lineno}: expected 'a -- b'")
+        edges.append((parts[0], parts[2]))
+    names = dict.fromkeys(v for edge in edges for v in edge)  # the root first
+    return BallGraph(root=next(iter(names), ""), vertices=tuple(sorted(names)),
+                     edges=tuple(edges))

@@ -24,11 +24,13 @@ from .diagrams import (
     Event,
     SliceWord,
     StrandDiagram,
+    encode_word,
     from_slices,
     identity,
     invert,
     multiply,
     reduce,
+    _reduce_maps,
 )
 from .errors import DomainError, InvariantViolation
 
@@ -73,17 +75,35 @@ def tree_diagram(t: Tree) -> StrandDiagram:
 
 
 def diagram_tree(d: StrandDiagram) -> Tree:
-    """Inverse of :func:`tree_diagram` for merge-free (1,n) diagrams.
+    """The split tree of the reduced form of a (1,n) diagram, in one walk.
 
-    Read bottom-up, the split at strand i joins the subtrees hanging
-    below strands i and i+1 into one caret.
-    """
-    if d.m != 1 or d.merge_count:
-        raise DomainError("diagram is not a splitting tree")
-    subtrees: list[Tree] = [()] * d.n
-    for _tag, i in reversed(d.to_slices().events):
-        subtrees[i - 1:i + 1] = [(subtrees[i - 1], subtrees[i])]
-    return subtrees[0]
+    A merge feeding a split is a redex, so in a reduced diagram only
+    merges lie below a merge and the splits form the domain tree of the
+    reduced tree pair, hanging from the source.  Walking down from stub
+    ``~0``, a split's out-ports are its children; any other target (a
+    merge port or a sink stub) is a leaf."""
+    if d.m != 1:
+        raise DomainError("expected a (1,n) diagram")
+    d = reduce(d)
+    kind, down = d._kind, d._down
+    # Post-order on an explicit stack, as in :func:`common_refinement`.
+    out: list[Tree] = []
+    leaves = 0
+    stack: list = [down[~0]]
+    while stack:
+        e = stack.pop()
+        if e is None:
+            right = out.pop()
+            out[-1] = (out[-1], right)
+        elif e >= 0 and kind[e >> 1] == SPLIT:
+            stack += (None, down[e + 1], down[e])
+        else:
+            out.append(())
+            leaves += 1
+    if leaves != d.split_count + 1:
+        raise InvariantViolation(f"split tree has {leaves} leaves, reduced diagram "
+                                 f"{encode_word(d.to_slices())} has {d.split_count} splits")
+    return out[0]
 
 
 def common_refinement(a: Tree, b: Tree) -> Tree:
@@ -153,7 +173,7 @@ class FElement:
         """|k| stacked copies of the element (of its inverse when k < 0),
         reduced once."""
         g = self if k >= 0 else f_inv(self)
-        return FElement(from_slices(SliceWord(1, g.rep.to_slices().events * abs(k))))
+        return _element(g.rep.to_slices().events * abs(k))
 
     def __eq__(self, other: object):
         if not isinstance(other, FElement):
@@ -165,6 +185,12 @@ class FElement:
 
     def __repr__(self) -> str:
         return f"FElement({self.rep.to_slices().events})"
+
+
+def _element(events: Iterable[Event]) -> FElement:
+    """The element of a (1,1) slice word.  Nothing else holds the fresh
+    diagram, so it is reduced in place rather than copied by ``reduce``."""
+    return FElement(_reduce_maps(from_slices(SliceWord(1, tuple(events))), None))
 
 
 def f_mul(a: FElement, b: FElement) -> FElement:
@@ -179,45 +205,31 @@ def tree_pair_to_diagram(p: TreePair) -> FElement:
     """Splits of the domain tree stacked over merges of the range tree."""
     down = tree_splits(p.domain)
     up = [(MERGE if t == SPLIT else SPLIT, i) for t, i in reversed(tree_splits(p.range))]
-    return FElement(from_slices(SliceWord(1, tuple(down + up))))
+    return _element(down + up)
 
 
 def merge_free_form(d: StrandDiagram) -> tuple[StrandDiagram, int]:
-    """Refine a (1,n) diagram by splitting rounds until merge-free.
-
-    Each round right-multiplies by the forest that splits only the sinks
-    fed by a merge, and reduces; each such merge meets its new split and
-    cancels, so the merge count strictly decreases.  Sinks fed by a split
-    are left alone, so leaves grow additively: on a reduced diagram the
-    result has ``split_count + 1`` leaves and its tree is the domain tree
-    of the reduced tree pair.  Returns the merge-free diagram and the
-    number of rounds performed.
-    """
-    if d.m != 1:
-        raise DomainError("expected a (1,n) diagram")
+    """The tree diagram of :func:`diagram_tree` and the number of rounds
+    that split every merge-fed sink until no merge is left.  A round
+    cancels the lowest merge above each such sink, so the rounds are the
+    longest chain of merges above a sink, found walking ``_up``."""
+    d = reduce(d)
+    kind, up = d._kind, d._up
     rounds = 0
-    while d.merge_count:
-        before = d.merge_count
-        fed = sorted(d.bottom_merge_positions())
-        splits = SliceWord(d.n, tuple((SPLIT, k + j) for j, k in enumerate(fed)))
-        d = multiply(d, from_slices(splits))
+    # one level of merges per round; a merge v feeds on via its out-port 2v
+    # and is fed through its in-ports 2v and 2v+1
+    level = [e for e in d._bot if e >= 0 and kind[e >> 1] == MERGE]
+    while level:
         rounds += 1
-        if d.merge_count >= before:
-            raise InvariantViolation("merge count failed to decrease in a splitting round")
-    return d, rounds
+        level = [f for e in level for f in (up[e], up[e + 1])
+                 if f >= 0 and kind[f >> 1] == MERGE]
+    return tree_diagram(diagram_tree(d)), rounds
 
 
 def diagram_to_tree_pair(a: FElement) -> TreePair:
-    """The reduced tree pair of ``a``.
-
-    The domain tree is the merge-free form of ``a``, refined only at
-    merge-fed sinks.  The range tree is the forest those rounds stacked
-    below ``a``, read off as the reduced product ``a^-1 * domain``, which
-    has no merges.
-    """
-    tree_part, _ = merge_free_form(a.rep)
-    return TreePair(diagram_tree(tree_part),
-                    diagram_tree(multiply(invert(a.rep), tree_part)))
+    """The reduced tree pair of ``a``: the split trees of ``a`` and of its
+    reflection, whose splits are the merges of ``a``."""
+    return TreePair(diagram_tree(a.rep), diagram_tree(invert(a.rep)))
 
 
 # Standard generators as tree pairs exchanging a left and a right caret;
@@ -259,7 +271,7 @@ def from_word(letters: Union[str, Iterable[str]]) -> FElement:
             events += _LETTER_EVENTS[ch]
         except KeyError:
             raise DomainError(f"unknown generator letter {ch!r}") from None
-    return FElement(from_slices(SliceWord(1, tuple(events))))
+    return _element(events)
 
 
 # ---------------------------------------------------------------------------

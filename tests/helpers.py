@@ -28,7 +28,8 @@ from fstrands.forests import (
     GeneralizedStrandDiagram,
     WeightedElementaryForest,
 )
-from fstrands.thompson import X0, X1, FElement, Tree, TreePair, diagram_tree, f_inv, f_mul
+from fstrands.diagrams import invert
+from fstrands.thompson import X0, X1, FElement, Tree, TreePair, f_inv, f_mul
 
 
 def rng(seed: int) -> random.Random:
@@ -525,7 +526,44 @@ def full_round_merge_free_form(d: StrandDiagram) -> tuple[StrandDiagram, int]:
 def full_round_tree_pair(a: FElement) -> TreePair:
     """A tree pair of ``a`` whose range is the complete tree of its rounds."""
     tree_part, rounds = full_round_merge_free_form(a.rep)
-    return TreePair(diagram_tree(tree_part), complete_tree(rounds))
+    return TreePair(reference_diagram_tree(tree_part), complete_tree(rounds))
+
+
+def reference_diagram_tree(d: StrandDiagram) -> Tree:
+    """Reference tree reader for merge-free (1,n) diagrams: fold the
+    canonical slice word bottom-up, the split at strand i joining the
+    subtrees below strands i and i+1 into one caret."""
+    assert d.m == 1 and not d.merge_count
+    subtrees: list[Tree] = [()] * d.n
+    for _tag, i in reversed(d.to_slices().events):
+        subtrees[i - 1:i + 1] = [(subtrees[i - 1], subtrees[i])]
+    return subtrees[0]
+
+
+def reference_merge_free_form(d: StrandDiagram) -> tuple[StrandDiagram, int]:
+    """Reference refinement by splitting rounds: each round right-multiplies
+    by the forest that splits only the sinks fed by a merge, and reduces.
+    Returns the merge-free diagram and the number of rounds, like
+    :func:`fstrands.thompson.merge_free_form`.  One whole product per
+    round, so quadratic on ``(ab)^k``."""
+    rounds = 0
+    while d.merge_count:
+        before = d.merge_count
+        fed = sorted(d.bottom_merge_positions())
+        splits = SliceWord(d.n, tuple((SPLIT, k + j) for j, k in enumerate(fed)))
+        d = multiply(d, from_slices(splits))
+        rounds += 1
+        if d.merge_count >= before:
+            raise InvariantViolation("merge count failed to decrease in a splitting round")
+    return d, rounds
+
+
+def reference_tree_pair(a: FElement) -> TreePair:
+    """Reference reduced tree pair: the domain is the rounds-based merge-free
+    form of ``a``, the range the reduced product ``a^-1 * domain``."""
+    tree_part, _ = reference_merge_free_form(a.rep)
+    return TreePair(reference_diagram_tree(tree_part),
+                    reference_diagram_tree(multiply(invert(a.rep), tree_part)))
 
 
 def left_fold_from_word(letters: str) -> FElement:

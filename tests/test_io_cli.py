@@ -234,6 +234,25 @@ class TestCli:
         code, _, _ = run(["frobnicate"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [[], ["reduce"], ["frobnicate"], ["ball", "-", "x"],
+                                      ["render", "-", "--kind", "tree"], ["reduce", "-", "a\nb"]])
+    def test_bad_invocation_is_one_line(self, argv):
+        # argparse would print its usage block above the error
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_message_quoting_a_newline_is_one_line(self):
+        code, out, err = run(["reduce", "no/such\nfile"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read no/such file") and len(err.splitlines()) == 1
+
+    def test_help_goes_to_the_returned_stdout(self, capsys):
+        code, out, err = run(["--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: fstrands")
+        assert capsys.readouterr() == ("", "")
+
     def test_missing_file_exits_two(self):
         code, _, _ = run(["reduce", "/nonexistent/path"])
         assert code == 2
@@ -358,6 +377,18 @@ class TestCli:
         b = run(["render", "-", "--kind", "generalized"],
                 "diagram 1\nS 1\nforest 2\nS 1/2\nE\n")
         assert a == b
+
+    def test_parse_ball_reads_edge_text(self):
+        g = ball(trivial_vertex(), 2)
+        back = textio.parse_ball(ball_edge_text(g))
+        assert (back.root, back.edges) == (g.root, g.edges)
+        assert set(back.vertices) == set(g.vertices)
+        assert textio.parse_ball("# nothing\n\n").root == ""
+
+    @pytest.mark.parametrize("text", ["a b\n", "a -- b -- c\n", "a--b\n", "a -- \n"])
+    def test_render_ball_rejects_bad_edge_lines(self, text):
+        code, out, err = run(["render", "-", "--kind", "ball"], "x -- y\n" + text)
+        assert (code, out, err) == (2, "", "error: line 2: expected 'a -- b'\n")
 
     def test_render_ball_dot_from_edge_list(self):
         code, edges, _ = run(["ball", "-", "1"], "diagram 1\n")

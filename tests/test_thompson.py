@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from fstrands.errors import DomainError
+from fstrands import cubes, diagrams, thompson
+from fstrands.cubes import ComplexVertex, upper_bound
+from fstrands.diagrams import M, S, SliceWord, StrandDiagram, from_slices, reduce
+from fstrands.errors import DomainError, InvariantViolation
 from fstrands.thompson import (
     X0,
     X1,
@@ -32,7 +35,17 @@ from fstrands.thompson import (
     tree_splits,
 )
 
-from helpers import full_round_tree_pair, left_fold_from_word, random_f_word, rng
+from helpers import (
+    full_round_tree_pair,
+    left_fold_from_word,
+    random_diagram,
+    random_f_word,
+    random_vertex_diagram,
+    reference_diagram_tree,
+    reference_merge_free_form,
+    reference_tree_pair,
+    rng,
+)
 
 L = ()
 
@@ -198,7 +211,7 @@ class TestTreePairs:
             tree_part, _ = merge_free_form(g.rep)
             assert tree_part.n == g.rep.split_count + 1
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 8, 20, 50, 200])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 20, 50, 200, 2000])
     def test_ab_ladder_leaves_grow_linearly(self, k):
         pair = diagram_to_tree_pair(from_word("ab" * k))
         assert leaf_count(pair.domain) == leaf_count(pair.range) == 2 * k + 2
@@ -218,6 +231,111 @@ class TestTreePairs:
             pa, pb = diagram_to_tree_pair(a), diagram_to_tree_pair(b)
             recomposed = f_mul(tree_pair_to_diagram(pa), tree_pair_to_diagram(pb))
             assert recomposed == f_mul(a, b)
+
+
+class TestTreeWalker:
+    """The one-walk tree reader against the rounds-based reference."""
+
+    @staticmethod
+    def assert_matches_reference(d):
+        form, rounds = merge_free_form(d)
+        ref_form, ref_rounds = reference_merge_free_form(d)
+        assert (form, rounds) == (ref_form, ref_rounds)
+        assert diagram_tree(d) == reference_diagram_tree(ref_form)
+
+    def test_seeded_words_match_reference(self):
+        r = rng(81)
+        for _ in range(200):
+            g = from_word(random_f_word(r, 30))
+            self.assert_matches_reference(g.rep)
+            assert diagram_to_tree_pair(g) == reference_tree_pair(g)
+
+    def test_seeded_vertices_match_reference(self):
+        r = rng(82)
+        rounds = set()
+        for _ in range(200):
+            v = random_vertex_diagram(r, 30)
+            self.assert_matches_reference(v)
+            rounds.add(merge_free_form(v)[1])
+        assert len(rounds) > 2  # the set reaches chains of several merges
+
+    def test_unreduced_input_reads_the_reduced_form(self):
+        r = rng(83)
+        for _ in range(100):
+            d = random_diagram(r, m=1, max_events=20)
+            assert diagram_tree(d) == diagram_tree(reduce(d))
+            assert merge_free_form(d) == merge_free_form(reduce(d))
+        # S1 M1 reduces to the identity, whose tree is a single leaf
+        assert merge_free_form(from_slices(SliceWord(1, (S(1), M(1))))) == (tree_diagram(L), 0)
+
+    def test_rejects_more_than_one_source(self):
+        with pytest.raises(DomainError):
+            diagram_tree(from_slices(SliceWord(2, (M(1),))))
+
+    def test_split_under_merge_is_an_invariant_violation(self):
+        # S1 M1 S1 has a type-I redex; flagged reduced, the walker stops at
+        # the merge and misses the split below it
+        d = from_slices(SliceWord(1, (S(1), M(1), S(1))))
+        d._reduced = True
+        with pytest.raises(InvariantViolation):
+            diagram_tree(d)
+
+    def test_ab_ladder_rounds(self):
+        # (ab)^k needs 2k + 1 splitting rounds
+        for k in (1, 5, 40):
+            _, rounds = merge_free_form(from_word("ab" * k).rep)
+            assert rounds == reference_merge_free_form(from_word("ab" * k).rep)[1] == 2 * k + 1
+
+    def test_to_pl_and_upper_bound_never_multiply(self, monkeypatch):
+        calls = []
+        real = diagrams.multiply
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for mod in (diagrams, thompson, cubes):
+            if hasattr(mod, "multiply"):
+                monkeypatch.setattr(mod, "multiply", spy)
+        r = rng(84)
+        words = [from_word(random_f_word(r, 20)) for _ in range(30)] + [from_word("ab" * 50)]
+        vertices = [ComplexVertex(random_vertex_diagram(r, 20)) for _ in range(30)]
+        assert not calls
+        for g in words:
+            to_pl(g)
+        for x, y in zip(vertices, vertices[1:]):
+            upper_bound(x, y)
+        assert calls == []
+
+
+class TestFreshDiagramsReduceInPlace:
+    @staticmethod
+    def count_constructions(monkeypatch, fn):
+        made = []
+        real = StrandDiagram.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(StrandDiagram, "__init__", counting)
+        result = fn()
+        monkeypatch.undo()
+        return len(made), result
+
+    def test_from_word_builds_one_diagram(self, monkeypatch):
+        made, g = self.count_constructions(monkeypatch, lambda: from_word("a" * 30 + "A" * 15 + "bB"))
+        assert made == 1
+        assert g == left_fold_from_word("a" * 15)
+
+    def test_power_builds_one_diagram(self, monkeypatch):
+        g = from_word("abA")
+        made, p = self.count_constructions(monkeypatch, lambda: g ** -7)
+        assert made == 2  # the inverse of g, then the stacked copies
+        assert p == from_word("aBA" * 7)
+        made, p = self.count_constructions(monkeypatch, lambda: g ** 7)
+        assert made == 1
+        assert p == from_word("abA" * 7)
 
 
 class TestPLMaps:

@@ -1,0 +1,44 @@
+"""The names the benchmark tracer looks up all exist in the library.
+
+``perfbench/spans.py`` rebinds every entry point in its ``TRACED`` and
+``TRACED_METHODS`` tables with ``getattr``, so renaming or removing one
+of them breaks ``perfbench/run.py --trace 1``.
+"""
+
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+from fstrands.diagrams import StrandDiagram
+from fstrands.thompson import from_word, merge_free_form
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    return spans
+
+
+def test_traced_names_resolve(spans):
+    assert spans.TRACED
+    for mod_name, funcs in spans.TRACED.items():
+        mod = import_module(f"fstrands.{mod_name}")
+        for fname in funcs:
+            assert callable(getattr(mod, fname)), f"{mod_name}.{fname}"
+    for (mod_name, cls_name, meth) in spans.TRACED_METHODS:
+        cls = getattr(import_module(f"fstrands.{mod_name}"), cls_name)
+        assert callable(getattr(cls, meth)), f"{cls_name}.{meth}"
+
+
+def test_merge_free_form_returns_diagram_and_rounds(spans):
+    # the tracer's hook reads ``result[0].n`` and ``result[1]``
+    result = merge_free_form(from_word("abAB").rep)
+    assert isinstance(result, tuple) and len(result) == 2
+    form, rounds = result
+    assert isinstance(form, StrandDiagram) and type(rounds) is int
+    assert form.n == from_word("abAB").rep.split_count + 1
