@@ -18,6 +18,7 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence, Union
 
 from .diagrams import (
+    EDGE,
     MERGE,
     SPLIT,
     StrandDiagram,
@@ -25,16 +26,16 @@ from .diagrams import (
     identity,
     invert,
     multiply,
+    multiply_row,
     reduce,
 )
 from .errors import DomainError
 from .forests import (
-    EDGE,
     ElementaryForest,
     GeneralizedStrandDiagram,
     WeightedElementaryForest,
+    _one_caret,
     canonicalize_generalized,
-    caret_diagram,
 )
 from .thompson import FElement, common_refinement, diagram_tree, tree_diagram
 
@@ -127,22 +128,21 @@ class Cube:
 
     top: ComplexVertex
     splits: ElementaryForest
+    #: The number of splits, counted once.
+    dimension: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for c in self.splits.components:
-            if c == MERGE:
-                raise DomainError("cube forests contain only edges and splits")
-        if self.splits.sources != self.top.n:
+        comps = self.splits.components
+        if MERGE in comps:
+            raise DomainError("cube forests contain only edges and splits")
+        if len(comps) != self.top.n:  # edges and splits take one strand each
             raise DomainError(
                 f"forest has {self.splits.sources} sources but top has {self.top.n} sinks"
             )
-
-    @property
-    def dimension(self) -> int:
-        return self.splits.caret_count
+        object.__setattr__(self, "dimension", comps.count(SPLIT))
 
     def bottom(self) -> ComplexVertex:
-        return ComplexVertex(multiply(self.top.diagram, self.splits.to_diagram()))
+        return ComplexVertex(multiply_row(self.top.diagram, self.splits.components))
 
     def corner(self, eps: Sequence[int]) -> ComplexVertex:
         """The corner selected by applying the splits flagged in ``eps``."""
@@ -156,22 +156,23 @@ class Cube:
                 k += 1
             else:
                 comps.append(c)
-        forest = ElementaryForest(tuple(comps))
-        return ComplexVertex(multiply(self.top.diagram, forest.to_diagram()))
+        return ComplexVertex(multiply_row(self.top.diagram, comps))
 
     def corners(self) -> Iterator[tuple[tuple[int, ...], ComplexVertex]]:
         for eps in product((0, 1), repeat=self.dimension):
             yield eps, self.corner(eps)
 
 
-def _cube(v: ComplexVertex, forest: ElementaryForest, tops: dict) -> Cube:
-    """:func:`cube_from_forest` without its arity check; ``tops`` keeps the
-    top vertex of each merge pattern, so each is built once."""
-    merges = forest.merge_factor()
-    if merges not in tops:
-        tops[merges] = ComplexVertex(multiply(v.diagram, merges.to_diagram()))
-    splits = tuple(SPLIT if c != EDGE else EDGE for c in forest.components)
-    return Cube(tops[merges], ElementaryForest(splits))
+def _cube(v: ComplexVertex, row: tuple[str, ...], tops: dict) -> Cube:
+    """:func:`cube_from_forest` on a component row, without its arity
+    check; ``tops`` keeps the top vertex of each merge pattern, so each is
+    built once."""
+    merges = tuple(EDGE if c == SPLIT else c for c in row)
+    top = tops.get(merges)
+    if top is None:
+        top = tops[merges] = ComplexVertex(multiply_row(v.diagram, merges))
+    splits = tuple(SPLIT if c != EDGE else EDGE for c in row)
+    return Cube(top, ElementaryForest(splits))
 
 
 def cube_from_forest(v: ComplexVertex, forest: ElementaryForest) -> Cube:
@@ -184,7 +185,7 @@ def cube_from_forest(v: ComplexVertex, forest: ElementaryForest) -> Cube:
         raise DomainError(
             f"forest has {forest.sources} sources but vertex has {v.n} sinks"
         )
-    return _cube(v, forest, {})
+    return _cube(v, forest.components, {})
 
 
 def cubes_at(v: ComplexVertex, max_dim: int) -> Iterator[Cube]:
@@ -195,7 +196,7 @@ def cubes_at(v: ComplexVertex, max_dim: int) -> Iterator[Cube]:
     Distinct forests span distinct cubes (``v`` cancels on the left)."""
     tops: dict = {}
     for row in _component_rows(v.n, max_dim):
-        yield _cube(v, ElementaryForest(row), tops)
+        yield _cube(v, row, tops)
 
 
 def parameterize(cube: Cube, base: ComplexVertex,
@@ -284,9 +285,9 @@ class BallGraph:
 def _vertex_neighbors(x: ComplexVertex) -> Iterator[tuple[str, ComplexVertex]]:
     n = x.n
     for i in range(1, n + 1):
-        yield "up", ComplexVertex(multiply(x.diagram, caret_diagram(n, SPLIT, i)))
+        yield "up", ComplexVertex(multiply_row(x.diagram, _one_caret(n, SPLIT, i)))
     for i in range(1, n):
-        yield "down", ComplexVertex(multiply(x.diagram, caret_diagram(n, MERGE, i)))
+        yield "down", ComplexVertex(multiply_row(x.diagram, _one_caret(n, MERGE, i)))
 
 
 #: Default bound on the vertices ``ball`` visits and the rows ``fstrands
@@ -347,14 +348,15 @@ def holonomy(moves: Iterable[Move]) -> FElement:
             sign, forest = 1, move
         else:
             sign, forest = move
-        dia = forest.to_diagram()
-        if sign < 0:
-            dia = invert(dia)
-        if acc.n != dia.m:
+        row, need = forest.components, forest.sources
+        if sign < 0:  # the reflected row: splits and merges trade places
+            row = tuple(MERGE if c == SPLIT else SPLIT if c == MERGE else c for c in row)
+            need = forest.sinks
+        if acc.n != need:
             raise DomainError(
-                f"move {k + 1} expects {dia.m} strands but {acc.n} are present"
+                f"move {k + 1} expects {need} strands but {acc.n} are present"
             )
-        acc = multiply(acc, dia)
+        acc = multiply_row(acc, row)
     if acc.n != 1:
         raise DomainError(f"move sequence ends on {acc.n} strands, not 1")
     return FElement(acc)

@@ -22,18 +22,17 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .diagrams import (
+    EDGE,
     MERGE,
     SPLIT,
     SliceWord,
     StrandDiagram,
-    from_slices,
+    identity,
     is_reduced,
-    multiply,
+    multiply_row,
     reduce,
 )
 from .errors import CompositionError, DomainError
-
-EDGE = "E"
 
 _SOURCES = {EDGE: 1, SPLIT: 1, MERGE: 2}
 _SINKS = {EDGE: 1, SPLIT: 2, MERGE: 1}
@@ -97,23 +96,21 @@ class ElementaryForest:
         return SliceWord(self.sources, tuple(events))
 
     def to_diagram(self) -> StrandDiagram:
-        return _caret_row(self.to_slices())
+        return multiply_row(identity(self.sources), self.components)
 
     def __str__(self) -> str:
         return " ".join(self.components)
 
 
-def _caret_row(word: SliceWord) -> StrandDiagram:
-    """The diagram of one row of carets, flagged reduced: a merge's output
-    and a split's legs all go straight to the bottom, so no redex exists."""
-    d = from_slices(word)
-    d._reduced = True
-    return d
+def _one_caret(n: int, kind: str, pos: int) -> tuple[str, ...]:
+    """The row on n strands with a single ``kind`` caret at strand ``pos``."""
+    return (EDGE,) * (pos - 1) + (kind,) + (EDGE,) * (n + 1 - pos - _SOURCES[kind])
 
 
 def caret_diagram(n: int, kind: str, pos: int) -> StrandDiagram:
     """The n-strand forest diagram with a single caret at strand ``pos``."""
-    return _caret_row(SliceWord(n, ((kind, pos),)))
+    SliceWord(n, ((kind, pos),))  # refuses a bad kind or position
+    return multiply_row(identity(n), _one_caret(n, kind, pos))
 
 
 Weight = Optional[Fraction]
@@ -251,7 +248,7 @@ def canonicalize_generalized(g: GeneralizedStrandDiagram) -> GeneralizedStrandDi
         pos = _positions(k for k, _ in comps)
         for i, (k, w) in enumerate(comps):
             if w == 1:
-                base = multiply(base, caret_diagram(base.n, k, pos[i]))
+                base = multiply_row(base, _one_caret(base.n, k, pos[i]))
                 if k == SPLIT:
                     comps[i:i + 1] = [(EDGE, None), (EDGE, None)]
                 else:
@@ -266,12 +263,12 @@ def canonicalize_generalized(g: GeneralizedStrandDiagram) -> GeneralizedStrandDi
         pos = _positions(k for k, _ in comps)
         for i, (k, w) in enumerate(comps):
             if k == MERGE and pos[i] in split_pairs:
-                base = multiply(base, caret_diagram(base.n, MERGE, pos[i]))
+                base = multiply_row(base, _one_caret(base.n, MERGE, pos[i]))
                 comps[i] = (SPLIT, 1 - w)
                 changed = True
                 break
             if k == SPLIT and pos[i] in merge_stubs:
-                base = multiply(base, caret_diagram(base.n, SPLIT, pos[i]))
+                base = multiply_row(base, _one_caret(base.n, SPLIT, pos[i]))
                 comps[i] = (MERGE, 1 - w)
                 changed = True
                 break
@@ -325,13 +322,13 @@ def random_gmove(g: GeneralizedStrandDiagram,
         comps[i:i + 2] = [(MERGE, Fraction(0))]
     elif tag == "flip":
         k, w = comps[i]
-        base = multiply(base, caret_diagram(base.n, k, pos_i))
+        base = multiply_row(base, _one_caret(base.n, k, pos_i))
         comps[i] = (MERGE if k == SPLIT else SPLIT, 1 - w)
     elif tag == "pull_split":
-        base = multiply(base, caret_diagram(base.n, MERGE, pos_i))
+        base = multiply_row(base, _one_caret(base.n, MERGE, pos_i))
         comps[i:i + 2] = [(SPLIT, Fraction(1))]
     else:  # pull_merge
-        base = multiply(base, caret_diagram(base.n, SPLIT, pos_i))
+        base = multiply_row(base, _one_caret(base.n, SPLIT, pos_i))
         comps[i:i + 1] = [(MERGE, Fraction(1))]
     kinds = tuple(k for k, _ in comps)
     weights = tuple(w for _, w in comps)

@@ -1,6 +1,7 @@
 """Parsers and emitters for the plain-text interchange formats.
 
-Diagram files:            "diagram <m>" then lines "S <i>" / "M <i>".
+Diagram files:            "diagram <m>" then lines "S <i>" / "M <i>";
+                          m is at most ``cubes.CAP`` (100000).
 Weighted forest files:    "forest <l>" then l lines "E" | "S <w>" | "M <w>";
                           the weight may be omitted and defaults to 1.
 Generalized diagrams:     a diagram block followed by a forest block.
@@ -23,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Iterator
 
-from .cubes import BallGraph
+from .cubes import CAP, BallGraph
 from .diagrams import MERGE, SPLIT, SliceWord, StrandDiagram, from_slices
 from .errors import FormatError, SliceWordError
 from .forests import (
@@ -80,6 +81,8 @@ def _diagram_from_rows(rows: list[tuple[int, list[str]]]) -> StrandDiagram:
     if head[0] != "diagram" or len(head) != 2:
         raise FormatError(f"line {lineno}: expected 'diagram <m>'")
     m = _parse_int(head[1], "source count", lineno)
+    if m > CAP:  # the diagram would hold one stub per source
+        raise FormatError(f"line {lineno}: source count {m} exceeds {CAP}")
     events = []
     for lineno, parts in rows[1:]:
         if parts[0] not in (SPLIT, MERGE) or len(parts) != 2:

@@ -6,6 +6,7 @@ from itertools import islice
 
 import pytest
 
+from fstrands import cubes, diagrams, forests
 from fstrands.cubes import (
     ComplexVertex,
     Cube,
@@ -22,9 +23,14 @@ from fstrands.cubes import (
     upper_bound,
     vertex_point,
 )
-from fstrands.diagrams import S, SliceWord, from_slices, multiply
+from fstrands.diagrams import M, S, SliceWord, from_slices, multiply
 from fstrands.errors import DomainError
-from fstrands.forests import EDGE, ElementaryForest
+from fstrands.forests import (
+    EDGE,
+    ElementaryForest,
+    canonicalize_generalized,
+    random_gmove,
+)
 from fstrands.thompson import (
     X0,
     X1,
@@ -42,6 +48,7 @@ from helpers import (
     forests_by_carets,
     random_elementary_forest,
     random_f_word,
+    random_generalized,
     random_rational,
     random_vertex_diagram,
     reference_cubes_at,
@@ -54,6 +61,37 @@ L = ()
 
 def vtx(*events):
     return ComplexVertex(from_slices(SliceWord(1, tuple(events))))
+
+
+def _tables(d):
+    return d._kind, d._down, d._up, d._bot, d._slots, d._reduced
+
+
+def _row_product(d, row):
+    """``d`` times the diagram of ``row``, through ``multiply``."""
+    return multiply(d, from_slices(ElementaryForest(tuple(row)).to_slices()))
+
+
+def _reference_neighbors(x):
+    n = x.n
+    for i in range(1, n + 1):
+        yield "up", ComplexVertex(multiply(x.diagram, from_slices(SliceWord(n, (S(i),)))))
+    for i in range(1, n):
+        yield "down", ComplexVertex(multiply(x.diagram, from_slices(SliceWord(n, (M(i),)))))
+
+
+def _seeded_vertices(seed, count):
+    """Tree and non-tree vertices with at most 9 sinks, alternating."""
+    r = rng(seed)
+    out = []
+    while len(out) < count:
+        if len(out) % 2 == 0:
+            out.append(vtx(*(S(r.randint(1, k)) for k in range(1, r.randint(1, 9)))))
+            continue
+        v = ComplexVertex(random_vertex_diagram(r, 12))
+        if v.n <= 9 and v.diagram.merge_count:
+            out.append(v)
+    return out
 
 
 class TestLeq:
@@ -228,6 +266,95 @@ class TestCubes:
         assert [c.splits.components[:3] for c in first] == [
             (EDGE, EDGE, EDGE), ("S", EDGE, EDGE), (EDGE, "S", EDGE)
         ]
+
+
+class TestCaretRowsMatchMultiply:
+    """Cube tops, corners and bottoms and ball neighbours stack caret rows
+    onto the vertex's tables; the products equal those of ``multiply``,
+    and no caret-row consumer calls it."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cube_tops_and_corners(self, seed):
+        for v in _seeded_vertices(8900 + seed, 4):
+            rows = [f.components for f in reference_elementary_forests_at(v.n)
+                    if f.caret_count <= 3]
+            for cube, ref, row in zip(cubes_at(v, 3), reference_cubes_at(v, 3), rows,
+                                      strict=True):
+                assert (cube.top.label(), cube.splits) == (ref.top.label(), ref.splits)
+                merges = [EDGE if c == "S" else c for c in row]
+                assert _tables(cube.top.diagram) == _tables(_row_product(v.diagram, merges))
+                for eps, corner in cube.corners():
+                    flags = iter(eps)
+                    comps = [("S" if next(flags) else EDGE) if c == "S" else c
+                             for c in cube.splits.components]
+                    want = _row_product(cube.top.diagram, comps)
+                    assert _tables(corner.diagram) == _tables(want)
+                    assert corner.label() == ComplexVertex(want).label()
+                assert _tables(cube.bottom().diagram) == _tables(
+                    _row_product(cube.top.diagram, cube.splits.components))
+
+    def test_ball_matches_the_multiply_ball(self, monkeypatch):
+        r = rng(8950)
+        starts = [trivial_vertex(), vtx(S(1))]
+        while len(starts) < 4:
+            v = ComplexVertex(random_vertex_diagram(r, 8))
+            if v.n == len(starts) - 1 and v.diagram.merge_count:
+                starts.append(v)
+        got = [ball(v, 3, quotient=q) for v in starts for q in (False, True)]
+        monkeypatch.setattr(cubes, "_vertex_neighbors", _reference_neighbors)
+        want = [ball(v, 3, quotient=q) for v in starts for q in (False, True)]
+        for g, w in zip(got, want, strict=True):
+            assert (g.root, g.vertices, g.edges) == (w.root, w.vertices, w.edges)
+            assert all(_tables(g.by_label[k].diagram) == _tables(w.by_label[k].diagram)
+                       for k in g.by_label)
+
+    def test_caret_row_consumers_never_multiply(self, monkeypatch):
+        calls = []
+        real = diagrams.multiply
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        vertices = _seeded_vertices(8960, 6)
+        r04, r07 = rng(104), rng(107)  # drawn as acceptance 04 and 07 draw them
+        points = ([random_generalized(r04, max_carets=8) for _ in range(60)]
+                  + [random_generalized(r07, max_carets=6) for _ in range(60)])
+        for mod in (diagrams, forests, cubes):
+            if hasattr(mod, "multiply"):
+                monkeypatch.setattr(mod, "multiply", spy)
+        for v in vertices:
+            for cube in cubes_at(v, 3):
+                list(cube.corners())
+                cube.bottom()
+        for q in (False, True):
+            ball(vertices[0], 3, quotient=q)
+            ball(vtx(S(1)), 3, quotient=q)
+        for g in points:
+            canonicalize_generalized(g)
+            h = g
+            for _ in range(5):
+                h = random_gmove(h, r04)
+                canonicalize_generalized(h)
+        holonomy([ElementaryForest(("S",)), (-1, ElementaryForest(("S",)))])
+        assert calls == []
+
+    def test_dimension_is_counted_once(self, monkeypatch):
+        made = list(cubes_at(_seeded_vertices(8970, 1)[0], 2))
+        counted = []
+        real = ElementaryForest.caret_count
+
+        def counting(self):
+            counted.append(self)
+            return real.fget(self)
+
+        monkeypatch.setattr(ElementaryForest, "caret_count", property(counting))
+        for cube in made:
+            assert cube.dimension == real.fget(cube.splits)
+            list(cube.corners())
+        assert counted == []
+        with pytest.raises(AttributeError):
+            made[0].dimension = 5
 
 
 class TestParameterize:

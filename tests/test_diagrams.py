@@ -21,15 +21,17 @@ from fstrands.diagrams import (
     invert,
     is_reduced,
     multiply,
+    multiply_row,
     reduce,
 )
-from fstrands.errors import CompositionError, InvariantViolation, SliceWordError
-from fstrands.forests import caret_diagram
+from fstrands.errors import CompositionError, DomainError, InvariantViolation, SliceWordError
+from fstrands.forests import EDGE, ElementaryForest, caret_diagram
 
 from helpers import (
     check_tables,
     commutation_closure,
     random_diagram,
+    random_elementary_forest,
     random_slice_word,
     random_vertex_diagram,
     reference_build,
@@ -398,6 +400,80 @@ class TestIntCoreAgainstReference:
                 seen.clear()
                 multiply(v, caret)
                 assert len(seen) == 1 and seen[0] is not None and seen[0] <= 2
+
+
+class TestMultiplyRow:
+    """``multiply_row`` against ``multiply`` by the row's diagram built from
+    its slice word, which does not pass through ``multiply_row``."""
+
+    @staticmethod
+    def reference(a, row):
+        return multiply(a, from_slices(ElementaryForest(row).to_slices()))
+
+    @staticmethod
+    def assert_same(a, row):
+        got = multiply_row(a, row)
+        check_tables(got)
+        ref = TestMultiplyRow.reference(a, row)
+        assert (got._kind, got._down, got._up, got._bot, got._slots, got._reduced) == (
+            ref._kind, ref._down, ref._up, ref._bot, ref._slots, ref._reduced)
+        assert got.to_slices() == ref.to_slices()
+
+    @staticmethod
+    def left_factors(seed, count):
+        """Seeded left factors with at most 9 sinks: reduced and flagged
+        (vertices and reduced diagrams), and raw ones left unflagged."""
+        r = rng(seed)
+        out = []
+        while len(out) < count:
+            kind = len(out) % 3
+            if kind == 0:
+                a = random_vertex_diagram(r, 14)
+            elif kind == 1:
+                a = reduce(random_diagram(r, max_events=20, m_max=4))
+            else:
+                a = random_diagram(r, max_events=20, m_max=4)
+                assert not a._reduced
+            if a.n <= 9:
+                out.append(a)
+        return out
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_seeded_rows_match_multiply(self, block):
+        r = rng(7400 + block)
+        for a in self.left_factors(7410 + block, 120):
+            for _ in range(3):
+                self.assert_same(a, random_elementary_forest(r, a.n).components)
+
+    def test_every_single_caret_matches_multiply(self):
+        by_n = {}
+        for a in self.left_factors(7500, 400):
+            by_n.setdefault(a.n, []).append(a)
+        for n in range(1, 9):
+            assert len(by_n[n]) >= 3
+            for a in by_n[n][:6]:
+                for kind, last in ((SPLIT, n), (MERGE, n - 1)):
+                    for pos in range(1, last + 1):
+                        row = [EDGE] * n
+                        row[pos - 1:pos + (kind == MERGE)] = [kind]
+                        self.assert_same(a, tuple(row))
+
+    def test_leaves_its_input_alone(self):
+        a = random_diagram(rng(7600), m=2, max_events=20)
+        before = (dict(a._kind), dict(a._down), dict(a._up), list(a._bot), a._slots, a._reduced)
+        multiply_row(a, random_elementary_forest(rng(7601), a.n).components)
+        assert before == (a._kind, a._down, a._up, a._bot, a._slots, a._reduced)
+
+    def test_source_count_must_match(self):
+        a = identity(3)
+        for row in ((EDGE, EDGE), (EDGE, EDGE, EDGE, SPLIT), (EDGE, MERGE, EDGE),
+                    (EDGE, EDGE, MERGE), ()):
+            with pytest.raises(CompositionError, match="3 sinks"):
+                multiply_row(a, row)
+
+    def test_unknown_component(self):
+        with pytest.raises(DomainError, match="'X'"):
+            multiply_row(identity(3), (EDGE, "X", SPLIT))
 
 
 class TestWiringChecks:

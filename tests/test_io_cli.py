@@ -8,7 +8,7 @@ import pytest
 
 from fstrands import textio
 from fstrands.cli import run
-from fstrands.cubes import ball, trivial_vertex
+from fstrands.cubes import CAP, ball, trivial_vertex
 from fstrands.diagrams import M, S, SliceWord, from_slices, identity
 from fstrands.errors import FormatError, InvariantViolation
 from fstrands.forests import GeneralizedStrandDiagram, WeightedElementaryForest
@@ -52,6 +52,18 @@ class TestTextFormats:
     def test_diagram_bad_event_index(self):
         with pytest.raises(FormatError, match="event 1"):
             textio.parse_diagram("diagram 1\nM 1\n")
+
+    def test_diagram_source_count_is_bounded(self):
+        # one stub per source: a 19-byte header must not ask for 150 GB
+        start = time.perf_counter()
+        code, out, err = run(["reduce", "-"], "diagram 1000000000\n")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "exceeds" in err
+        with pytest.raises(FormatError, match="line 2: source count"):
+            textio.parse_diagram(f"# big\ndiagram {CAP + 1}\n")
+        d = textio.parse_diagram(f"diagram {CAP}\nS {CAP}\n")
+        assert (d.m, d.n) == (CAP, CAP + 1)
 
     def test_forest_round_trip(self):
         r = rng(3)
