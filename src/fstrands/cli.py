@@ -170,14 +170,7 @@ def _dispatch(ns: argparse.Namespace, stdin: io.TextIOBase, out: io.TextIOBase) 
     elif verb == "forests":
         if ns.n < 1:
             raise DomainError("strand count must be at least 1")
-        # forests on n strands: 1, 2, 5, 12, 29, ... (c_n = 2 c_{n-1} + c_{n-2}),
-        # counted only until the cap is passed
-        prev, count = 1, 2
-        for _ in range(ns.n - 1):
-            if count > cubes.CAP:
-                break
-            prev, count = count, 2 * count + prev
-        if count > cubes.CAP:
+        if cubes.forest_count(ns.n, ns.n) > cubes.CAP:
             raise DomainError(f"{ns.n} strands carry more than {cubes.CAP} forests")
         for f in cubes.elementary_forests_at(ns.n):
             out.write(str(f) + "\n")
@@ -185,6 +178,9 @@ def _dispatch(ns: argparse.Namespace, stdin: io.TextIOBase, out: io.TextIOBase) 
         v = _vertex(_read(ns.file, stdin))
         if ns.max_dim < 0:
             raise DomainError("max dimension must be nonnegative")
+        if cubes.forest_count(v.n, ns.max_dim) > cubes.CAP:
+            raise DomainError(f"a vertex with {v.n} sinks has more than {cubes.CAP} cubes "
+                              f"of dimension at most {ns.max_dim}")
         for cube in cubes.cubes_at(v, ns.max_dim):
             splits = "".join(cube.splits.components)
             out.write(f"dim={cube.dimension} top={cube.top.label()} splits={splits}\n")

@@ -25,9 +25,7 @@ from .diagrams import (
     EDGE,
     MERGE,
     SPLIT,
-    SliceWord,
     StrandDiagram,
-    identity,
     is_reduced,
     multiply_row,
     reduce,
@@ -39,13 +37,13 @@ _SINKS = {EDGE: 1, SPLIT: 2, MERGE: 1}
 _KINDS = frozenset(_SOURCES)
 
 
-def _positions(kinds: Iterable[str], arity: dict = _SOURCES) -> list[int]:
-    """1-based position of each component, after the ``arity`` strands of those before it."""
+def _positions(kinds: Iterable[str]) -> list[int]:
+    """1-based position of each component, after the source strands of those before it."""
     out = []
     pos = 1
     for k in kinds:
         out.append(pos)
-        pos += arity[k]
+        pos += _SOURCES[k]
     return out
 
 
@@ -74,30 +72,6 @@ class ElementaryForest:
     def caret_count(self) -> int:
         return sum(1 for c in self.components if c != EDGE)
 
-    def split_factor(self) -> "ElementaryForest":
-        """The splitting part: each merge caret becomes two parallel edges."""
-        comps: list[str] = []
-        for c in self.components:
-            comps.extend((EDGE, EDGE) if c == MERGE else (c,))
-        return ElementaryForest(tuple(comps))
-
-    def merge_factor(self) -> "ElementaryForest":
-        """The merging part: each split caret becomes a single edge."""
-        return ElementaryForest(
-            tuple(EDGE if c == SPLIT else c for c in self.components)
-        )
-
-    def to_slices(self) -> SliceWord:
-        # left to right, each caret acts once the carets before it have
-        # turned their strands into sinks
-        comps = self.components
-        pos = _positions(comps, _SINKS)
-        events = [(c, pos[i]) for i, c in enumerate(comps) if c != EDGE]
-        return SliceWord(self.sources, tuple(events))
-
-    def to_diagram(self) -> StrandDiagram:
-        return multiply_row(identity(self.sources), self.components)
-
     def __str__(self) -> str:
         return " ".join(self.components)
 
@@ -105,12 +79,6 @@ class ElementaryForest:
 def _one_caret(n: int, kind: str, pos: int) -> tuple[str, ...]:
     """The row on n strands with a single ``kind`` caret at strand ``pos``."""
     return (EDGE,) * (pos - 1) + (kind,) + (EDGE,) * (n + 1 - pos - _SOURCES[kind])
-
-
-def caret_diagram(n: int, kind: str, pos: int) -> StrandDiagram:
-    """The n-strand forest diagram with a single caret at strand ``pos``."""
-    SliceWord(n, ((kind, pos),))  # refuses a bad kind or position
-    return multiply_row(identity(n), _one_caret(n, kind, pos))
 
 
 Weight = Optional[Fraction]
@@ -176,12 +144,6 @@ class WeightedElementaryForest:
     def sources(self) -> int:
         return sum(_SOURCES[c] for c in self.kinds)
 
-    @property
-    def caret_weights(self) -> dict[int, Fraction]:
-        """Weight of each caret, keyed by component index."""
-        return {i: w for i, (k, w) in enumerate(zip(self.kinds, self.weights))
-                if k != EDGE}
-
     def pairs(self) -> list[tuple[str, Weight]]:
         return list(zip(self.kinds, self.weights))
 
@@ -221,57 +183,43 @@ class GeneralizedStrandDiagram:
 def canonicalize_generalized(g: GeneralizedStrandDiagram) -> GeneralizedStrandDiagram:
     """Rewrite to the unique representative of the class of ``g``.
 
-    Fixpoint of three moves: weight-0 carets dissolve into edges,
-    weight-1 carets are absorbed into the base, and carets meeting an
-    opposite base-bottom vertex flip (weight w becomes 1-w) while that
-    vertex leaves the base.  Each move strictly shrinks twice the caret
-    count plus the base vertex count, so the loop terminates.
+    Three passes, each making one move at every caret it applies to:
+    weight-0 carets dissolve into edges, weight-1 carets are absorbed
+    into the base, and carets meeting an opposite base-bottom vertex flip
+    (w becomes 1-w) while that vertex leaves the base.  Carets sit on
+    disjoint strands and reduced forms are unique, so a pass stacks its
+    carets as one row.  One pass per move reaches the fixpoint: no move
+    makes a weight 0 or 1, and as a reduced base has no merge feeding a
+    split nor a split feeding a merge, a flip cancels only the vertex
+    under its own caret, leaves the other carets' feeders alone and
+    exposes nothing that flips again.
     """
     base = g.base
-    comps = g.forest.pairs()
-    changed = True
-    while changed:
-        changed = False
-        # weight-0 carets dissolve
-        for i, (k, w) in enumerate(comps):
-            if k == SPLIT and w == 0:
-                comps[i:i + 1] = [(EDGE, None)]
-                changed = True
-                break
-            if k == MERGE and w == 0:
-                comps[i:i + 1] = [(EDGE, None), (EDGE, None)]
-                changed = True
-                break
-        if changed:
-            continue
-        # weight-1 carets are absorbed into the base
-        pos = _positions(k for k, _ in comps)
-        for i, (k, w) in enumerate(comps):
-            if w == 1:
-                base = multiply_row(base, _one_caret(base.n, k, pos[i]))
-                if k == SPLIT:
-                    comps[i:i + 1] = [(EDGE, None), (EDGE, None)]
-                else:
-                    comps[i:i + 1] = [(EDGE, None)]
-                changed = True
-                break
-        if changed:
-            continue
-        # interface rewrites at the seam
-        split_pairs = base.bottom_split_pairs()
-        merge_stubs = base.bottom_merge_positions()
-        pos = _positions(k for k, _ in comps)
-        for i, (k, w) in enumerate(comps):
-            if k == MERGE and pos[i] in split_pairs:
-                base = multiply_row(base, _one_caret(base.n, MERGE, pos[i]))
-                comps[i] = (SPLIT, 1 - w)
-                changed = True
-                break
-            if k == SPLIT and pos[i] in merge_stubs:
-                base = multiply_row(base, _one_caret(base.n, SPLIT, pos[i]))
-                comps[i] = (MERGE, 1 - w)
-                changed = True
-                break
+    # weight-0 carets dissolve
+    comps = []
+    for k, w in g.forest.pairs():
+        comps += [(EDGE, None)] * _SOURCES[k] if w == 0 else [(k, w)]
+    # weight-1 carets are absorbed into the base
+    row, rest = [], []
+    for k, w in comps:
+        row += [k] if w == 1 else [EDGE] * _SOURCES[k]
+        rest += [(EDGE, None)] * _SINKS[k] if w == 1 else [(k, w)]
+    if any(c != EDGE for c in row):
+        base = multiply_row(base, row)
+    comps = rest
+    # carets meeting an opposite base-bottom vertex flip
+    split_pairs = base.bottom_split_pairs()
+    merge_fed = base.bottom_merge_positions()
+    pos = _positions(k for k, _ in comps)
+    row = []
+    for i, (k, w) in enumerate(comps):
+        if (k == MERGE and pos[i] in split_pairs) or (k == SPLIT and pos[i] in merge_fed):
+            row.append(k)
+            comps[i] = (SPLIT if k == MERGE else MERGE, 1 - w)
+        else:
+            row += [EDGE] * _SOURCES[k]
+    if any(c != EDGE for c in row):
+        base = multiply_row(base, row)
     kinds = tuple(k for k, _ in comps)
     weights = tuple(w for _, w in comps)
     return GeneralizedStrandDiagram(base, WeightedElementaryForest(kinds, weights))

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cubes import BallGraph
+from .cubes import CAP, BallGraph
 from .diagrams import SPLIT, StrandDiagram
 from .errors import DomainError
 from .forests import _SINKS, _SOURCES, EDGE, GeneralizedStrandDiagram
@@ -167,6 +167,9 @@ def render_generalized_svg(g: GeneralizedStrandDiagram, spec: RenderSpec) -> str
 
 
 def render_config_svg(t: tuple[Fraction, ...], spec: RenderSpec) -> str:
+    """One tick per unit of the number line, so entries stay within ``CAP``."""
+    if any(abs(x) > CAP for x in t):
+        raise DomainError(f"configuration entries above {CAP} in magnitude do not render")
     canvas = _Canvas(spec.scale)
     lo = min(t)
     hi = max(t)

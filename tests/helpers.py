@@ -27,8 +27,10 @@ from fstrands.forests import (
     ElementaryForest,
     GeneralizedStrandDiagram,
     WeightedElementaryForest,
+    _one_caret,
+    _positions,
 )
-from fstrands.diagrams import invert
+from fstrands.diagrams import invert, multiply_row
 from fstrands.thompson import X0, X1, FElement, Tree, TreePair, f_inv, f_mul
 
 
@@ -244,6 +246,19 @@ def check_tables(d: StrandDiagram) -> None:
     for v, k in kind.items():
         ins.update((2 * v,) if k == SPLIT else (2 * v, 2 * v + 1))
     assert set(d._up) == ins
+
+
+def row_slice_word(row) -> SliceWord:
+    """The slice word of a forest row, built without ``multiply_row``:
+    left to right, each caret acts once the carets before it have turned
+    their strands into sinks."""
+    events = []
+    pos = 1
+    for c in row:
+        if c != EDGE:
+            events.append((c, pos))
+        pos += 2 if c == SPLIT else 1
+    return SliceWord(sum(2 if c == MERGE else 1 for c in row), tuple(events))
 
 
 # ---------------------------------------------------------------------------
@@ -631,3 +646,67 @@ def forests_by_carets(n: int, max_carets: int) -> list[int]:
             for k in range(max_carets + 1)
         ])
     return rows[n]
+
+
+# ---------------------------------------------------------------------------
+# reference canonicalization: one move at a time
+
+
+def reference_canonicalize_generalized(g: GeneralizedStrandDiagram) -> GeneralizedStrandDiagram:
+    """Reference canonical form: the library's first scheduler, one move
+    per row stacked, restarting after each move.
+
+    Fixpoint of three moves: weight-0 carets dissolve into edges,
+    weight-1 carets are absorbed into the base, and carets meeting an
+    opposite base-bottom vertex flip (weight w becomes 1-w) while that
+    vertex leaves the base.  Each move strictly shrinks twice the caret
+    count plus the base vertex count, so the loop terminates.
+    """
+    base = g.base
+    comps = g.forest.pairs()
+    changed = True
+    while changed:
+        changed = False
+        # weight-0 carets dissolve
+        for i, (k, w) in enumerate(comps):
+            if k == SPLIT and w == 0:
+                comps[i:i + 1] = [(EDGE, None)]
+                changed = True
+                break
+            if k == MERGE and w == 0:
+                comps[i:i + 1] = [(EDGE, None), (EDGE, None)]
+                changed = True
+                break
+        if changed:
+            continue
+        # weight-1 carets are absorbed into the base
+        pos = _positions(k for k, _ in comps)
+        for i, (k, w) in enumerate(comps):
+            if w == 1:
+                base = multiply_row(base, _one_caret(base.n, k, pos[i]))
+                if k == SPLIT:
+                    comps[i:i + 1] = [(EDGE, None), (EDGE, None)]
+                else:
+                    comps[i:i + 1] = [(EDGE, None)]
+                changed = True
+                break
+        if changed:
+            continue
+        # interface rewrites at the seam
+        split_pairs = base.bottom_split_pairs()
+        merge_stubs = base.bottom_merge_positions()
+        pos = _positions(k for k, _ in comps)
+        for i, (k, w) in enumerate(comps):
+            if k == MERGE and pos[i] in split_pairs:
+                base = multiply_row(base, _one_caret(base.n, MERGE, pos[i]))
+                comps[i] = (SPLIT, 1 - w)
+                changed = True
+                break
+            if k == SPLIT and pos[i] in merge_stubs:
+                base = multiply_row(base, _one_caret(base.n, SPLIT, pos[i]))
+                comps[i] = (MERGE, 1 - w)
+                changed = True
+                break
+    kinds = tuple(k for k, _ in comps)
+    weights = tuple(w for _, w in comps)
+    return GeneralizedStrandDiagram(base, WeightedElementaryForest(kinds, weights))

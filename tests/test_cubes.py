@@ -14,6 +14,7 @@ from fstrands.cubes import (
     cube_from_forest,
     cubes_at,
     elementary_forests_at,
+    forest_count,
     holonomy,
     left_act,
     leq,
@@ -23,7 +24,7 @@ from fstrands.cubes import (
     upper_bound,
     vertex_point,
 )
-from fstrands.diagrams import M, S, SliceWord, from_slices, multiply
+from fstrands.diagrams import M, S, SliceWord, from_slices, identity, multiply, multiply_row
 from fstrands.errors import DomainError
 from fstrands.forests import (
     EDGE,
@@ -54,6 +55,7 @@ from helpers import (
     reference_cubes_at,
     reference_elementary_forests_at,
     rng,
+    row_slice_word,
 )
 
 L = ()
@@ -69,7 +71,7 @@ def _tables(d):
 
 def _row_product(d, row):
     """``d`` times the diagram of ``row``, through ``multiply``."""
-    return multiply(d, from_slices(ElementaryForest(tuple(row)).to_slices()))
+    return multiply(d, from_slices(row_slice_word(row)))
 
 
 def _reference_neighbors(x):
@@ -111,7 +113,7 @@ class TestLeq:
             forest = random_elementary_forest(r, x.n, kinds="ES")
             if forest.caret_count == 0:
                 continue
-            y = ComplexVertex(x.diagram * forest.to_diagram())
+            y = ComplexVertex(x.diagram * multiply_row(identity(x.n), forest.components))
             assert leq(x, y)
             assert not leq(y, x)
 
@@ -194,6 +196,18 @@ class TestForestEnumeration:
         n = 5000
         assert n > sys.getrecursionlimit()
         assert next(iter(elementary_forests_at(n))).components == (EDGE,) * n
+
+    def test_forest_count_matches_the_caret_census(self):
+        for n in range(13):
+            census = forests_by_carets(n, n)
+            for d in range(n + 3):
+                assert forest_count(n, d) == sum(census[:d + 1])
+
+    def test_forest_count_stops_past_the_cap(self):
+        # the 40-leaf comb's cubes number 1746860020068409 in all
+        assert cubes.CAP < forest_count(40, 40) <= 3 * cubes.CAP
+        assert forest_count(10, 10, cap=100) == 169  # stopped at 6 strands
+        assert forest_count(10 ** 9, 1) <= 2 * cubes.CAP + 2
 
 
 class TestCubes:

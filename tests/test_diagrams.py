@@ -25,7 +25,7 @@ from fstrands.diagrams import (
     reduce,
 )
 from fstrands.errors import CompositionError, DomainError, InvariantViolation, SliceWordError
-from fstrands.forests import EDGE, ElementaryForest, caret_diagram
+from fstrands.forests import EDGE
 
 from helpers import (
     check_tables,
@@ -40,8 +40,15 @@ from helpers import (
     reference_signature,
     reference_stack,
     rng,
+    row_slice_word,
     structural_signature,
 )
+
+
+def caret(n, kind, pos):
+    """The n-strand forest diagram with a single ``kind`` caret at strand ``pos``."""
+    last = n - (kind == MERGE)
+    return multiply_row(identity(n), (EDGE,) * (pos - 1) + (kind,) + (EDGE,) * (last - pos))
 
 
 @st.composite
@@ -376,7 +383,7 @@ class TestIntCoreAgainstReference:
         for _ in range(200):
             kind = r.choice((SPLIT, MERGE)) if d.n > 1 else SPLIT
             pos = r.randint(1, d.n - (kind == MERGE))
-            d = multiply(d, caret_diagram(d.n, kind, pos))
+            d = multiply(d, caret(d.n, kind, pos))
             check_tables(d)
             assert d._reduced and is_reduced(StrandDiagram(
                 d.m, d.n, dict(d._kind), dict(d._down), dict(d._up), list(d._bot), d._slots))
@@ -396,9 +403,9 @@ class TestIntCoreAgainstReference:
             for kind in (SPLIT, MERGE):
                 if kind == MERGE and v.n < 2:
                     continue
-                caret = caret_diagram(v.n, kind, r.randint(1, v.n - (kind == MERGE)))
+                c = caret(v.n, kind, r.randint(1, v.n - (kind == MERGE)))
                 seen.clear()
-                multiply(v, caret)
+                multiply(v, c)
                 assert len(seen) == 1 and seen[0] is not None and seen[0] <= 2
 
 
@@ -408,7 +415,7 @@ class TestMultiplyRow:
 
     @staticmethod
     def reference(a, row):
-        return multiply(a, from_slices(ElementaryForest(row).to_slices()))
+        return multiply(a, from_slices(row_slice_word(row)))
 
     @staticmethod
     def assert_same(a, row):

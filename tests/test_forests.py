@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fstrands import diagrams, forests
 from fstrands.cubes import elementary_forests_at
 from fstrands.diagrams import (
     M,
@@ -15,6 +16,7 @@ from fstrands.diagrams import (
     identity,
     invert,
     multiply,
+    multiply_row,
 )
 from fstrands.errors import CompositionError, DomainError
 from fstrands.forests import (
@@ -22,12 +24,17 @@ from fstrands.forests import (
     ElementaryForest,
     GeneralizedStrandDiagram,
     WeightedElementaryForest,
-    caret_diagram,
     canonicalize_generalized,
     random_gmove,
 )
 
-from helpers import random_elementary_forest, random_generalized, rng
+from helpers import (
+    random_elementary_forest,
+    random_generalized,
+    reference_canonicalize_generalized,
+    rng,
+    row_slice_word,
+)
 
 E, SC, MC = "E", "S", "M"
 half = Fraction(1, 2)
@@ -37,6 +44,10 @@ def wf(*pairs):
     return WeightedElementaryForest.from_pairs(pairs)
 
 
+def forest_diagram(*row):
+    return multiply_row(identity(sum(2 if k == MC else 1 for k in row)), row)
+
+
 class TestElementaryForest:
     def test_source_sink_counts(self):
         f = ElementaryForest((SC, MC, E))
@@ -44,24 +55,12 @@ class TestElementaryForest:
         assert f.sinks == 4
         assert f.caret_count == 2
 
-    def test_split_factor(self):
-        assert ElementaryForest((E,)).split_factor() == ElementaryForest((E,))
-        assert ElementaryForest((MC,)).split_factor() == ElementaryForest((E, E))
-        assert ElementaryForest((SC, MC, E)).split_factor() == ElementaryForest(
-            (SC, E, E, E)
-        )
-
-    def test_merge_factor(self):
-        assert ElementaryForest((E,)).merge_factor() == ElementaryForest((E,))
-        assert ElementaryForest((SC,)).merge_factor() == ElementaryForest((E,))
-        assert ElementaryForest((SC, MC, E)).merge_factor() == ElementaryForest(
-            (E, MC, E)
-        )
-
     def test_to_slices(self):
-        assert ElementaryForest((E, E)).to_slices() == SliceWord(2)
-        assert ElementaryForest((SC, E)).to_slices() == SliceWord(2, (S(1),))
-        assert ElementaryForest((E, MC)).to_slices() == SliceWord(3, (M(2),))
+        # the diagram of a forest linearizes to its row, caret by caret
+        assert forest_diagram(E, E).to_slices() == SliceWord(2)
+        assert forest_diagram(SC, E).to_slices() == SliceWord(2, (S(1),))
+        assert forest_diagram(E, MC).to_slices() == SliceWord(3, (M(2),))
+        assert forest_diagram(SC, MC, SC).to_slices() == SliceWord(4, (S(1), M(3), S(4)))
 
     def test_rejects_unknown_component(self):
         with pytest.raises(DomainError, match="'X'"):
@@ -76,19 +75,13 @@ class TestElementaryForest:
 
         for n in range(1, 7):
             for f in elementary_forests_at(n):
-                assert (f.to_diagram()._reduced, scanned(f.to_slices())) == (True, True)
+                d = forest_diagram(*f.components)
+                assert (d._reduced, scanned(row_slice_word(f.components))) == (True, True)
             for kind, last in ((SC, n), (MC, n - 1)):
                 for pos in range(1, last + 1):
                     word = SliceWord(n, ((kind, pos),))
-                    assert (caret_diagram(n, kind, pos)._reduced, scanned(word)) == (True, True)
-
-    def test_factor_arity_bookkeeping(self):
-        for seed in range(30):
-            f = random_elementary_forest(rng(seed), rng(seed).randint(1, 9))
-            assert f.split_factor().sources == f.sources
-            assert f.merge_factor().sources == f.sources
-            assert f.split_factor().sinks >= f.sinks
-            assert f.merge_factor().sinks <= f.sources
+                    row = (E,) * (pos - 1) + (kind,) + (E,) * (last - pos)
+                    assert (forest_diagram(*row)._reduced, scanned(word)) == (True, True)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_factorization_residuals(self, seed):
@@ -96,9 +89,9 @@ class TestElementaryForest:
         # a merging forest, and its merging part followed by a splitting one
         r = rng(seed)
         f = random_elementary_forest(r, r.randint(1, 9))
-        d = f.to_diagram()
-        sp = f.split_factor().to_diagram()
-        mg = f.merge_factor().to_diagram()
+        d = forest_diagram(*f.components)
+        sp = forest_diagram(*(c for k in f.components for c in ((E, E) if k == MC else (k,))))
+        mg = forest_diagram(*(E if k == SC else k for k in f.components))
         res_after_split = multiply(invert(sp), d)
         assert res_after_split.split_count == 0
         assert equivalent(multiply(sp, res_after_split), d)
@@ -119,10 +112,6 @@ class TestWeightedForest:
     def test_rejects_out_of_range_weight(self):
         with pytest.raises(DomainError):
             wf((SC, Fraction(3, 2)))
-
-    def test_caret_weights(self):
-        w = wf(E, (SC, half), (MC, Fraction(1, 3)))
-        assert w.caret_weights == {1: half, 2: Fraction(1, 3)}
 
 
 class TestGeneralized:
@@ -192,6 +181,52 @@ class TestCanonicalize:
             if k == SC:
                 assert pos not in merges
             pos += 2 if k == MC else 1
+
+    def test_flips_every_interface_caret_in_one_row(self):
+        # both split pairs of the base meet a merge caret, and both flip
+        base = from_slices(SliceWord(1, (S(1), S(1), S(3))))
+        g = GeneralizedStrandDiagram(base, wf((MC, half), (MC, Fraction(1, 3))))
+        c = canonicalize_generalized(g)
+        assert c.base == from_slices(SliceWord(1, (S(1),)))
+        assert c.forest == wf((SC, half), (SC, Fraction(2, 3)))
+
+    @pytest.mark.parametrize("chunk", range(10))
+    def test_matches_one_move_at_a_time(self, chunk):
+        # closed-unit weights scrambled by random moves: every pass has work
+        for seed in range(200 * chunk, 200 * (chunk + 1)):
+            r = rng(seed + 9000)
+            g = random_generalized(r, open_unit=False)
+            for _ in range(r.randint(0, 60)):
+                g = random_gmove(g, r)
+            got, ref = canonicalize_generalized(g), reference_canonicalize_generalized(g)
+            assert (got.base, got.forest) == (ref.base, ref.forest)
+            assert got.base._reduced
+
+    def test_stacks_at_most_two_rows(self, monkeypatch):
+        rows, real = [], forests.multiply_row
+
+        def spy(a, kinds):
+            rows.append(tuple(kinds))
+            return real(a, kinds)
+
+        def no_multiply(*args, **kw):
+            raise AssertionError("canonicalization called multiply")
+
+        monkeypatch.setattr(forests, "multiply_row", spy)
+        for mod in (diagrams, forests):
+            if hasattr(mod, "multiply"):
+                monkeypatch.setattr(mod, "multiply", no_multiply)
+        stacked = 0
+        for seed in range(300):
+            r = rng(seed + 12000)
+            g = random_generalized(r, open_unit=False)
+            for _ in range(r.randint(0, 30)):
+                g = random_gmove(g, r)
+            rows.clear()
+            canonicalize_generalized(g)
+            assert len(rows) <= 2
+            stacked += len(rows) == 2
+        assert stacked  # some inputs need both rows
 
 
 class TestRandomGmove:

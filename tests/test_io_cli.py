@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fstrands import textio
+from fstrands import cubes, textio
 from fstrands.cli import run
 from fstrands.cubes import CAP, ball, trivial_vertex
 from fstrands.diagrams import M, S, SliceWord, from_slices, identity
@@ -318,6 +318,23 @@ class TestCli:
         lines = sorted(out.splitlines())
         assert lines == ["dim=0 top=1: splits=E", "dim=1 top=1: splits=S"]
 
+    @pytest.mark.parametrize("max_dim", ["4", "40"])
+    def test_cubes_past_the_cap_rejected(self, max_dim):
+        comb = "diagram 1\n" + "".join(f"S {i}\n" for i in range(1, 40))  # 40 leaves
+        t0 = time.perf_counter()
+        code, out, err = run(["cubes", "-", "--max-dim", max_dim], comb)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("rejected:") and err.count("\n") == 1
+
+    def test_cubes_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(cubes, "CAP", 12)  # the 12 forests on 3 strands
+        code, out, _ = run(["cubes", "-", "--max-dim", "3"], "diagram 1\nS 1\nS 1\n")
+        assert code == 0 and len(out.splitlines()) == 12
+        code, out, _ = run(["cubes", "-", "--max-dim", "1"], "diagram 1\nS 1\nS 1\nS 1\n")
+        assert code == 0 and len(out.splitlines()) == 8
+        assert run(["cubes", "-", "--max-dim", "2"], "diagram 1\nS 1\nS 1\nS 1\n")[:2] == (1, "")
+
     def test_ball_quotient_edge_list(self):
         code, out, _ = run(["ball", "-", "1", "--quotient"], "diagram 1\n")
         assert code == 0
@@ -375,6 +392,14 @@ class TestCli:
         code, out, _ = run(["render", "-", "--kind", "config"], "1 3/2 5/2\n")
         assert code == 0
         ET.fromstring(out)
+
+    @pytest.mark.parametrize("config", ["1e400\n", "0 1000000\n", f"-{CAP + 1} 0\n"])
+    def test_render_config_far_from_zero_rejected(self, config):
+        t0 = time.perf_counter()
+        code, out, err = run(["render", "-", "--kind", "config"], config)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("rejected:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("scale", ["0", "nan", "inf"])
     def test_render_rejects_bad_scale(self, scale):
