@@ -295,21 +295,21 @@ def _vertex_neighbors(x: ComplexVertex) -> Iterator[tuple[str, ComplexVertex]]:
 CAP = 100_000
 
 
-def forest_count(n: int, max_carets: int, cap: int = CAP) -> int:
+def forest_count(n: int, max_carets: int) -> int:
     """How many forests on n strands have at most ``max_carets`` >= 0 carets.
 
-    The count is exact up to ``cap``; past it, counting stops at the first
-    strand count whose total passes ``cap``.  It uses c(n, k) = c(n-1, k)
+    The count is exact up to ``CAP``; past it, counting stops at the first
+    strand count whose total passes ``CAP``.  It uses c(n, k) = c(n-1, k)
     + c(n-1, k-1) + c(n-2, k-1) for k carets (an edge or split takes one
     strand, a merge two), c(0, k) = [k == 0].  At most b =
-    ``cap.bit_length()`` carets are counted: b strands with up to b carets
-    already carry 2**b > cap split-only forests.
+    ``CAP.bit_length()`` carets are counted: b strands with up to b carets
+    already carry 2**b > CAP split-only forests.
     """
-    d = min(max_carets, n, cap.bit_length())
+    d = min(max_carets, n, CAP.bit_length())
     two, one = [0] * (d + 1), [1] + [0] * d  # c(left-2, .) and c(left-1, .)
     for _ in range(n):
         two, one = one, [one[0]] + [one[k] + one[k - 1] + two[k - 1] for k in range(1, d + 1)]
-        if sum(one) > cap:
+        if sum(one) > CAP:
             break
     return sum(one)
 

@@ -183,16 +183,15 @@ class GeneralizedStrandDiagram:
 def canonicalize_generalized(g: GeneralizedStrandDiagram) -> GeneralizedStrandDiagram:
     """Rewrite to the unique representative of the class of ``g``.
 
-    Three passes, each making one move at every caret it applies to:
-    weight-0 carets dissolve into edges, weight-1 carets are absorbed
-    into the base, and carets meeting an opposite base-bottom vertex flip
-    (w becomes 1-w) while that vertex leaves the base.  Carets sit on
-    disjoint strands and reduced forms are unique, so a pass stacks its
-    carets as one row.  One pass per move reaches the fixpoint: no move
-    makes a weight 0 or 1, and as a reduced base has no merge feeding a
-    split nor a split feeding a merge, a flip cancels only the vertex
-    under its own caret, leaves the other carets' feeders alone and
-    exposes nothing that flips again.
+    Three passes, one move at every caret each applies to: weight-0
+    carets dissolve, weight-1 carets join the base, and carets on an
+    opposite base-bottom vertex flip (w to 1-w) as that vertex leaves the
+    base.  Carets sit on disjoint strands and reduced forms are unique,
+    so a pass stacks its carets as one row.  No move makes a weight 0 or
+    1, and a flip cancels only the vertex under its own caret.  The sinks
+    this exposes lie under that caret, now of the other kind, and do not
+    flip it back: a reduced base has no merge feeding a split and no
+    split whose two legs feed one merge (one leg may, and does occur).
     """
     base = g.base
     # weight-0 carets dissolve

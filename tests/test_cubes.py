@@ -203,11 +203,12 @@ class TestForestEnumeration:
             for d in range(n + 3):
                 assert forest_count(n, d) == sum(census[:d + 1])
 
-    def test_forest_count_stops_past_the_cap(self):
+    def test_forest_count_stops_past_the_cap(self, monkeypatch):
         # the 40-leaf comb's cubes number 1746860020068409 in all
         assert cubes.CAP < forest_count(40, 40) <= 3 * cubes.CAP
-        assert forest_count(10, 10, cap=100) == 169  # stopped at 6 strands
         assert forest_count(10 ** 9, 1) <= 2 * cubes.CAP + 2
+        monkeypatch.setattr(cubes, "CAP", 100)
+        assert forest_count(10, 10) == 169  # stopped at 6 strands
 
 
 class TestCubes:
