@@ -43,8 +43,6 @@ from .thompson import (
     PLMap,
     TreePair,
     diagram_to_tree_pair,
-    f_inv,
-    f_mul,
     from_word,
     pl_compose,
     pl_eq,
@@ -89,7 +87,7 @@ __all__ = [
     "EDGE", "ElementaryForest", "GeneralizedStrandDiagram",
     "WeightedElementaryForest", "canonicalize_generalized", "random_gmove",
     "X0", "X1", "FElement", "PLMap", "TreePair", "diagram_to_tree_pair",
-    "f_inv", "f_mul", "from_word", "pl_compose", "pl_eq", "pl_eval", "to_pl",
+    "from_word", "pl_compose", "pl_eq", "pl_eval", "to_pl",
     "tree_pair_to_diagram",
     "BallGraph", "ComplexVertex", "Cube", "OrbitKey", "ball",
     "cube_from_forest", "cubes_at", "elementary_forests_at", "holonomy",

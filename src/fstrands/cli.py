@@ -149,7 +149,7 @@ def _dispatch(ns: argparse.Namespace, stdin: io.TextIOBase, out: io.TextIOBase) 
         t = textio.parse_config(_read(ns.file, stdin))
         out.write(_bool_line(configspace.is_in_cf(t)))
     elif verb == "in-df":
-        t = configspace.require_cf(textio.parse_config(_read(ns.file, stdin)))
+        t = textio.parse_config(_read(ns.file, stdin))
         out.write(_bool_line(configspace.is_in_df(t)))
     elif verb == "canon-cf":
         t = textio.parse_config(_read(ns.file, stdin))
@@ -200,7 +200,7 @@ def _dispatch(ns: argparse.Namespace, stdin: io.TextIOBase, out: io.TextIOBase) 
 def _render(ns: argparse.Namespace, stdin: io.TextIOBase, out: io.TextIOBase) -> None:
     text = _read(ns.file, stdin)
     fmt = ns.fmt or ("dot" if ns.kind == "ball" else "svg")
-    spec = render.RenderSpec(fmt=fmt, scale=ns.scale, labels=not ns.no_labels)
+    spec = render.RenderSpec(scale=ns.scale, labels=not ns.no_labels)
     if ns.kind == "diagram":
         if fmt == "text":
             out.write(textio.emit_diagram(textio.parse_diagram(text)))

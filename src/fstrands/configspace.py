@@ -89,7 +89,6 @@ def contract_slice(t: Sequence[Rational], s: Rational) -> Config:
     s = Fraction(s)
     if not 0 <= s <= 1:
         raise DomainError(f"time {s} outside [0, 1]")
-    n = len(t)
     return tuple((1 - s) * x + s * (k + 1) for k, x in enumerate(t))
 
 
@@ -139,13 +138,6 @@ def is_in_df(t: Sequence[Rational]) -> bool:
     return True
 
 
-def require_df(t: Sequence[Rational]) -> Config:
-    t = require_cf(t)
-    if not is_in_df(t):
-        raise DomainError(f"{tuple(map(str, t))} is not in the image of the complex")
-    return t
-
-
 def df_section(t: Sequence[Rational]) -> GeneralizedStrandDiagram:
     """A canonical diagram mapping onto the given image point.
 
@@ -154,7 +146,9 @@ def df_section(t: Sequence[Rational]) -> GeneralizedStrandDiagram:
     gap closes the current component, and the base is the right comb
     with one leaf per component.
     """
-    t = require_df(canonicalize_cf(t))
+    t = canonicalize_cf(t)
+    if not is_in_df(t):
+        raise DomainError(f"{tuple(map(str, t))} is not in the image of the complex")
     comps: list[Union[str, tuple[str, Fraction]]] = []
     k = 0
     while k < len(t):

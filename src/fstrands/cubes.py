@@ -202,17 +202,26 @@ def cubes_at(v: ComplexVertex, max_dim: int) -> Iterator[Cube]:
 def parameterize(cube: Cube, base: ComplexVertex,
                  coords: Sequence[Union[Fraction, int, str]]) -> GeneralizedStrandDiagram:
     """The canonical point of ``cube`` with the given coordinates seen
-    from the corner ``base`` (which maps to all-zero coordinates)."""
+    from the corner ``base`` (which maps to all-zero coordinates).
+
+    A corner is the top followed by the row of its flagged splits, and
+    the top cancels on the left, so the residual ``top^-1 * base`` of a
+    corner is that row: its split pairs at the bottom are the flags.
+    Only the corner they select is built, to check it is ``base``."""
     d = cube.dimension
     ws = [Fraction(c) for c in coords]
     if len(ws) != d:
         raise DomainError(f"cube has dimension {d}, got {len(ws)} coordinates")
-    matches = [eps for eps, corner in cube.corners() if corner == base]
-    if not matches:
+    pairs = multiply(invert(cube.top.diagram), base.diagram).bottom_split_pairs()
+    eps = []
+    pos = 1  # the residual's sink under the current component
+    for c in cube.splits.components:
+        if c == SPLIT:
+            eps.append(int(pos in pairs))
+            pos += eps[-1]  # a flagged split leaves two sinks
+        pos += 1
+    if cube.corner(eps) != base:
         raise DomainError("base vertex is not a corner of the cube")
-    if len(matches) > 1:
-        raise DomainError("degenerate cube: base matches several corners")
-    eps = matches[0]
     comps: list[Union[str, tuple[str, Fraction]]] = []
     k = 0
     for c in cube.splits.components:
@@ -262,10 +271,6 @@ def orbit_key(p: GeneralizedStrandDiagram) -> OrbitKey:
 def left_act(g: FElement, p: GeneralizedStrandDiagram) -> GeneralizedStrandDiagram:
     """Left multiplication of the base by a (1,1) diagram class."""
     return GeneralizedStrandDiagram(multiply(g.rep, p.base), p.forest)
-
-
-def vertex_point(v: ComplexVertex) -> GeneralizedStrandDiagram:
-    return GeneralizedStrandDiagram.vertex(v.diagram)
 
 
 @dataclass
@@ -321,28 +326,29 @@ def ball(v: ComplexVertex, radius: int, quotient: bool = False,
         raise DomainError("radius must be nonnegative")
 
     def name(x: ComplexVertex) -> str:
-        return str(orbit_key(vertex_point(x))) if quotient else x.label()
+        if quotient:
+            return str(orbit_key(GeneralizedStrandDiagram.vertex(x.diagram)))
+        return x.label()
 
     start = name(v)
     by_label: dict[str, ComplexVertex] = {start: v}
     dist = {start: 0}
     edges: set[tuple[str, str]] = set()
-    queue = deque([v])
+    queue = deque([(start, v)])
     while queue:
-        x = queue.popleft()
-        dx = dist[name(x)]
+        nx, x = queue.popleft()
+        dx = dist[nx]
         if dx == radius:
             continue
         for direction, y in _vertex_neighbors(x):
             ny = name(y)
-            edge = (name(x), ny) if direction == "up" else (ny, name(x))
-            edges.add(edge)
+            edges.add((nx, ny) if direction == "up" else (ny, nx))
             if ny not in dist:
                 if len(dist) >= cap:
                     raise DomainError(f"ball exceeded the vertex cap ({cap})")
                 dist[ny] = dx + 1
                 by_label[ny] = y
-                queue.append(y)
+                queue.append((ny, y))
     return BallGraph(
         root=start,
         vertices=tuple(sorted(dist)),

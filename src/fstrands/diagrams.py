@@ -17,7 +17,7 @@ Vertices never have degree 4: a merge stacked directly onto a split is
 cancelled on the spot, so the stored vertex taxonomy is exactly
 {split, merge}.  Sources and sinks are boundary stubs, not vertices.
 
-Endpoints are plain ints (see the comment above :func:`_build`), and a
+Endpoints are plain ints (see the comment above :func:`from_slices`), and a
 diagram carries its wiring, the inverse wiring, the feeder of each sink
 and a bound on its vertex ids.  Reduction edits these tables in place,
 and ``multiply`` copies ``a``'s tables whole and shifts ``b``'s vertex
@@ -44,6 +44,10 @@ SPLIT = "S"
 MERGE = "M"
 #: A row component that carries one strand straight through.
 EDGE = "E"
+
+#: Strands each row component takes in and gives out.
+_SOURCES = {EDGE: 1, SPLIT: 1, MERGE: 2}
+_SINKS = {EDGE: 1, SPLIT: 2, MERGE: 1}
 
 #: A slice event: ("S", i) splits strand i, ("M", i) merges strands i, i+1.
 Event = tuple[str, int]
@@ -112,7 +116,8 @@ class SliceWord:
 # vertex ports, and ``bot[k]`` is the out-endpoint that feeds sink k.
 
 
-def _build(word: SliceWord) -> "StrandDiagram":
+def from_slices(word: SliceWord) -> "StrandDiagram":
+    """Build the diagram described by a slice word."""
     cs = [~k for k in range(word.sources)]
     kind: dict = {}
     down: dict = {}
@@ -324,24 +329,13 @@ class StrandDiagram:
             self._hash = hash((self.m, self.to_slices().events))
         return self._hash
 
-    def __mul__(self, other: "StrandDiagram") -> "StrandDiagram":
-        return multiply(self, other)
-
-    def __invert__(self) -> "StrandDiagram":
-        return invert(self)
-
     def __repr__(self) -> str:
         return f"StrandDiagram({self.m}->{self.n}, {self.vertex_count} vertices)"
 
 
-def from_slices(word: SliceWord) -> StrandDiagram:
-    """Build the diagram described by a slice word."""
-    return _build(word)
-
-
 def identity(n: int) -> StrandDiagram:
     """The (n,n) diagram of n parallel strands."""
-    return _build(SliceWord(n))
+    return from_slices(SliceWord(n))
 
 
 def is_reduced(d: StrandDiagram) -> bool:
@@ -462,7 +456,8 @@ def multiply_row(a: StrandDiagram, kinds: Sequence[str]) -> StrandDiagram:
     except IndexError:  # the row has more sources than ``a`` has sinks
         k = -1
     if k != a.n:
-        sources = sum(2 if c == MERGE else 1 for c in kinds)
+        # an unknown component past the last sink counts as one source
+        sources = sum(_SOURCES.get(c, 1) for c in kinds)
         raise CompositionError(
             f"cannot stack: left factor has {a.n} sinks, row has {sources} sources"
         )

@@ -22,6 +22,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .diagrams import (
+    _SINKS,
+    _SOURCES,
     EDGE,
     MERGE,
     SPLIT,
@@ -32,8 +34,6 @@ from .diagrams import (
 )
 from .errors import CompositionError, DomainError
 
-_SOURCES = {EDGE: 1, SPLIT: 1, MERGE: 2}
-_SINKS = {EDGE: 1, SPLIT: 2, MERGE: 1}
 _KINDS = frozenset(_SOURCES)
 
 
@@ -67,10 +67,6 @@ class ElementaryForest:
     @property
     def sinks(self) -> int:
         return sum(_SINKS[c] for c in self.components)
-
-    @property
-    def caret_count(self) -> int:
-        return sum(1 for c in self.components if c != EDGE)
 
     def __str__(self) -> str:
         return " ".join(self.components)
@@ -132,10 +128,6 @@ class WeightedElementaryForest:
                 weights.append(p[1])  # __post_init__ makes it a Fraction
         return cls(tuple(kinds), tuple(weights))
 
-    @classmethod
-    def edges(cls, n: int) -> "WeightedElementaryForest":
-        return cls((EDGE,) * n, (None,) * n)
-
     @property
     def forest(self) -> ElementaryForest:
         return ElementaryForest(self.kinds)
@@ -174,7 +166,7 @@ class GeneralizedStrandDiagram:
 
     @classmethod
     def vertex(cls, base: StrandDiagram) -> "GeneralizedStrandDiagram":
-        return cls(base, WeightedElementaryForest.edges(base.n))
+        return cls(base, WeightedElementaryForest((EDGE,) * base.n, (None,) * base.n))
 
     def __repr__(self) -> str:
         return f"GeneralizedStrandDiagram({self.base!r}, [{self.forest}])"

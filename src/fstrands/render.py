@@ -17,20 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cubes import CAP, BallGraph
-from .diagrams import SPLIT, StrandDiagram
+from .diagrams import _SINKS, _SOURCES, EDGE, SPLIT, StrandDiagram
 from .errors import DomainError
-from .forests import _SINKS, _SOURCES, EDGE, GeneralizedStrandDiagram
+from .forests import GeneralizedStrandDiagram
 
 
 @dataclass(frozen=True)
 class RenderSpec:
-    fmt: str = "svg"
     scale: float = 40.0
     labels: bool = True
 
     def __post_init__(self) -> None:
-        if self.fmt not in ("svg", "dot", "text"):
-            raise DomainError(f"unsupported output format {self.fmt!r}")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise DomainError("scale must be a positive finite number")
 

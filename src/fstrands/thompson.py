@@ -164,15 +164,15 @@ class FElement:
         return self.rep.is_identity
 
     def __mul__(self, other: "FElement") -> "FElement":
-        return f_mul(self, other)
+        return FElement(multiply(self.rep, other.rep))
 
     def __invert__(self) -> "FElement":
-        return f_inv(self)
+        return FElement(invert(self.rep))
 
     def __pow__(self, k: int) -> "FElement":
         """|k| stacked copies of the element (of its inverse when k < 0),
         reduced once."""
-        g = self if k >= 0 else f_inv(self)
+        g = self if k >= 0 else ~self
         return _element(g.rep.to_slices().events * abs(k))
 
     def __eq__(self, other: object):
@@ -191,14 +191,6 @@ def _element(events: Iterable[Event]) -> FElement:
     """The element of a (1,1) slice word.  Nothing else holds the fresh
     diagram, so it is reduced in place rather than copied by ``reduce``."""
     return FElement(_reduce_maps(from_slices(SliceWord(1, tuple(events))), None))
-
-
-def f_mul(a: FElement, b: FElement) -> FElement:
-    return FElement(multiply(a.rep, b.rep))
-
-
-def f_inv(a: FElement) -> FElement:
-    return FElement(invert(a.rep))
 
 
 def tree_pair_to_diagram(p: TreePair) -> FElement:
@@ -247,9 +239,9 @@ X1 = tree_pair_to_diagram(_X1_PAIR)
 
 _LETTERS = {
     "a": X0,
-    "A": f_inv(X0),
+    "A": ~X0,
     "b": X1,
-    "B": f_inv(X1),
+    "B": ~X1,
 }
 
 #: Canonical (1,1) slice events of each generator letter.

@@ -20,8 +20,8 @@ from fstrands.diagrams import (
     from_slices,
     multiply,
 )
-from fstrands.cubes import ComplexVertex, cube_from_forest
-from fstrands.errors import InvariantViolation
+from fstrands.cubes import ComplexVertex, Cube, cube_from_forest
+from fstrands.errors import DomainError, InvariantViolation
 from fstrands.forests import (
     EDGE,
     ElementaryForest,
@@ -29,9 +29,10 @@ from fstrands.forests import (
     WeightedElementaryForest,
     _one_caret,
     _positions,
+    canonicalize_generalized,
 )
 from fstrands.diagrams import invert, multiply_row
-from fstrands.thompson import X0, X1, FElement, Tree, TreePair, f_inv, f_mul
+from fstrands.thompson import X0, X1, FElement, Tree, TreePair
 
 
 def rng(seed: int) -> random.Random:
@@ -586,10 +587,10 @@ def left_fold_from_word(letters: str) -> FElement:
 
     Quadratic in the word length, so use it on short words only.
     """
-    gens = {"a": X0, "A": f_inv(X0), "b": X1, "B": f_inv(X1)}
+    gens = {"a": X0, "A": ~X0, "b": X1, "B": ~X1}
     out = FElement.identity()
     for ch in letters:
-        out = f_mul(out, gens[ch])
+        out = out * gens[ch]
     return out
 
 
@@ -617,18 +618,48 @@ def reference_elementary_forests_at(n: int):
         yield ElementaryForest(comps)
 
 
+def caret_count(forest: ElementaryForest) -> int:
+    """The number of split and merge carets of a forest."""
+    return sum(1 for c in forest.components if c != EDGE)
+
+
 def reference_cubes_at(v: ComplexVertex, max_dim: int):
     """Reference cube listing: the full enumeration filtered by caret count,
     with repeated cubes dropped."""
     seen = set()
     for forest in reference_elementary_forests_at(v.n):
-        if forest.caret_count > max_dim:
+        if caret_count(forest) > max_dim:
             continue
         cube = cube_from_forest(v, forest)
         key = (cube.top.label(), cube.splits.components)
         if key not in seen:
             seen.add(key)
             yield cube
+
+
+def reference_parameterize(cube: Cube, base: ComplexVertex, coords) -> GeneralizedStrandDiagram:
+    """Reference parameterization: the corner flags of ``base`` found by
+    building all 2^d corners and comparing each with ``base``."""
+    d = cube.dimension
+    ws = [Fraction(c) for c in coords]
+    if len(ws) != d:
+        raise DomainError(f"cube has dimension {d}, got {len(ws)} coordinates")
+    matches = [eps for eps, corner in cube.corners() if corner == base]
+    if not matches:
+        raise DomainError("base vertex is not a corner of the cube")
+    if len(matches) > 1:
+        raise DomainError("degenerate cube: base matches several corners")
+    eps = matches[0]
+    comps: list = []
+    k = 0
+    for c in cube.splits.components:
+        if c == EDGE:
+            comps.append(EDGE)
+        else:
+            comps.append((MERGE, ws[k]) if eps[k] else (SPLIT, ws[k]))
+            k += 1
+    g = GeneralizedStrandDiagram(base.diagram, WeightedElementaryForest.from_pairs(comps))
+    return canonicalize_generalized(g)
 
 
 def forests_by_carets(n: int, max_carets: int) -> list[int]:

@@ -22,13 +22,13 @@ from fstrands.cubes import (
     parameterize,
     trivial_vertex,
     upper_bound,
-    vertex_point,
 )
-from fstrands.diagrams import M, S, SliceWord, from_slices, identity, multiply, multiply_row
+from fstrands.diagrams import M, S, SliceWord, from_slices, multiply, multiply_row
 from fstrands.errors import DomainError
 from fstrands.forests import (
     EDGE,
     ElementaryForest,
+    GeneralizedStrandDiagram,
     canonicalize_generalized,
     random_gmove,
 )
@@ -36,8 +36,6 @@ from fstrands.thompson import (
     X0,
     X1,
     diagram_to_tree_pair,
-    f_inv,
-    f_mul,
     from_word,
     pl_eq,
     to_pl,
@@ -46,6 +44,7 @@ from fstrands.thompson import (
 )
 
 from helpers import (
+    caret_count,
     forests_by_carets,
     random_elementary_forest,
     random_f_word,
@@ -54,6 +53,7 @@ from helpers import (
     random_vertex_diagram,
     reference_cubes_at,
     reference_elementary_forests_at,
+    reference_parameterize,
     rng,
     row_slice_word,
 )
@@ -111,9 +111,9 @@ class TestLeq:
         for _ in range(25):
             x = ComplexVertex(random_vertex_diagram(r))
             forest = random_elementary_forest(r, x.n, kinds="ES")
-            if forest.caret_count == 0:
+            if caret_count(forest) == 0:
                 continue
-            y = ComplexVertex(x.diagram * multiply_row(identity(x.n), forest.components))
+            y = ComplexVertex(multiply_row(x.diagram, forest.components))
             assert leq(x, y)
             assert not leq(y, x)
 
@@ -221,8 +221,7 @@ class TestCubes:
     def test_dimension_matches_caret_count(self):
         v = vtx(S(1))
         for cube in cubes_at(v, 2):
-            forests = cube.splits
-            assert cube.dimension == forests.caret_count
+            assert cube.dimension == caret_count(cube.splits)
 
     def test_merge_forest_cube_has_coarser_top(self):
         v = vtx(S(1))
@@ -292,7 +291,7 @@ class TestCaretRowsMatchMultiply:
     def test_cube_tops_and_corners(self, seed):
         for v in _seeded_vertices(8900 + seed, 4):
             rows = [f.components for f in reference_elementary_forests_at(v.n)
-                    if f.caret_count <= 3]
+                    if caret_count(f) <= 3]
             for cube, ref, row in zip(cubes_at(v, 3), reference_cubes_at(v, 3), rows,
                                       strict=True):
                 assert (cube.top.label(), cube.splits) == (ref.top.label(), ref.splits)
@@ -354,20 +353,10 @@ class TestCaretRowsMatchMultiply:
         holonomy([ElementaryForest(("S",)), (-1, ElementaryForest(("S",)))])
         assert calls == []
 
-    def test_dimension_is_counted_once(self, monkeypatch):
+    def test_dimension_is_counted_once(self):
         made = list(cubes_at(_seeded_vertices(8970, 1)[0], 2))
-        counted = []
-        real = ElementaryForest.caret_count
-
-        def counting(self):
-            counted.append(self)
-            return real.fget(self)
-
-        monkeypatch.setattr(ElementaryForest, "caret_count", property(counting))
         for cube in made:
-            assert cube.dimension == real.fget(cube.splits)
-            list(cube.corners())
-        assert counted == []
+            assert cube.dimension == caret_count(cube.splits)
         with pytest.raises(AttributeError):
             made[0].dimension = 5
 
@@ -377,7 +366,7 @@ class TestParameterize:
         cube = cube_from_forest(vtx(S(1)), ElementaryForest(("S", "E")))
         base = cube.corner((0,))
         p = parameterize(cube, base, (0,))
-        assert p == vertex_point(base)
+        assert p == GeneralizedStrandDiagram.vertex(base.diagram)
 
     def test_one_coords_give_opposite_corner(self):
         r = rng(5)
@@ -387,7 +376,7 @@ class TestParameterize:
             cube = cube_from_forest(v, forest)
             d = cube.dimension
             p = parameterize(cube, cube.top, (1,) * d)
-            assert p == vertex_point(cube.bottom())
+            assert p == GeneralizedStrandDiagram.vertex(cube.bottom().diagram)
 
     def test_wrong_arity_rejected(self):
         cube = cube_from_forest(trivial_vertex(), ElementaryForest(("S",)))
@@ -399,6 +388,60 @@ class TestParameterize:
         outsider = vtx(S(1), S(1))
         with pytest.raises(DomainError, match="not a corner"):
             parameterize(cube, outsider, (Fraction(1, 2),))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_corner_search(self, seed):
+        # from every corner of seeded cubes, against the 2^d corner search
+        r = rng(9100 + seed)
+        for v in _seeded_vertices(9100 + seed, 2):
+            for cube in islice(cubes_at(v, 3), 0, None, 3):
+                w = [random_rational(r, open_unit=True) for _ in range(cube.dimension)]
+                for _eps, corner in cube.corners():
+                    assert parameterize(cube, corner, w) == reference_parameterize(cube, corner, w)
+
+    def test_non_corners_rejected_like_the_corner_search(self):
+        # vertices near the top and left translates of the corners by x0;
+        # a translate can be a corner (x0 takes a right comb to a left one)
+        rejected = {"near": 0, "translate": 0}
+        for v in _seeded_vertices(9200, 4):
+            for cube in islice(cubes_at(v, 2), 0, None, 7):
+                w = [Fraction(1, 3)] * cube.dimension
+                near = ball(cube.top, 2).by_label.values()
+                moved = [ComplexVertex(multiply(X0.rep, c.diagram)) for _, c in cube.corners()]
+                for source, bases in (("near", near), ("translate", moved)):
+                    for base in bases:
+                        try:
+                            want = reference_parameterize(cube, base, w)
+                        except DomainError:
+                            with pytest.raises(DomainError, match="not a corner"):
+                                parameterize(cube, base, w)
+                            rejected[source] += 1
+                        else:
+                            assert parameterize(cube, base, w) == want
+        assert min(rejected.values()) > 0
+
+    def test_builds_only_the_base_corner(self, monkeypatch):
+        r = rng(9300)
+        work = []
+        for v in _seeded_vertices(9300, 4):
+            for cube in islice(cubes_at(v, 3), 0, None, 9):
+                work += [(cube, corner) for _, corner in cube.corners()]
+        built = []
+        real = Cube.corner
+
+        def corner(self, eps):
+            built.append(self)
+            return real(self, eps)
+
+        def corners(self):
+            raise AssertionError("parameterize searched the corners")
+
+        monkeypatch.setattr(Cube, "corner", corner)
+        monkeypatch.setattr(Cube, "corners", corners)
+        for cube, base in work:
+            parameterize(cube, base, [random_rational(r, open_unit=True)
+                                      for _ in range(cube.dimension)])
+        assert built == [cube for cube, _ in work]
 
     @pytest.mark.parametrize("seed", range(50))
     def test_corner_independence(self, seed):
@@ -462,7 +505,7 @@ class TestOrbitKey:
         keys = set()
         for _ in range(10):
             v = ComplexVertex(random_vertex_diagram(r, 6))
-            keys.add((orbit_key(vertex_point(v)), v.n))
+            keys.add((orbit_key(GeneralizedStrandDiagram.vertex(v.diagram)), v.n))
         assert all(key.n == n and set(key.components) <= {EDGE} for key, n in keys)
         assert len({key for key, _ in keys}) == len({n for _, n in keys})
 
@@ -524,6 +567,21 @@ class TestBall:
         with pytest.raises(DomainError, match="cap"):
             ball(trivial_vertex(), 6, cap=30)
 
+    def test_names_each_visit_once(self, monkeypatch):
+        calls = []
+        real = cubes.orbit_key
+
+        def spy(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(cubes, "orbit_key", spy)
+        g = ball(trivial_vertex(), 4, quotient=True)
+        assert len(g.vertices) == 5
+        # the root, then the 2n - 1 neighbours of each vertex inside the
+        # radius, on n = 1, 2, 3, 4 strands
+        assert len(calls) == 1 + 1 + 3 + 5 + 7
+
 
 class TestHolonomy:
     def test_split_merge_back_is_identity(self):
@@ -560,7 +618,7 @@ class TestHolonomy:
 
     def test_two_loops_distinguished_by_oracle(self):
         loop_a = self._tree_pair_loop(X0)
-        loop_b = self._tree_pair_loop(f_mul(X0, X0))
+        loop_b = self._tree_pair_loop(X0 * X0)
         assert holonomy(loop_a) != holonomy(loop_b)
 
     def test_reversed_sequence_inverts(self):
@@ -569,7 +627,7 @@ class TestHolonomy:
             g = from_word(random_f_word(r, 6))
             loop = self._tree_pair_loop(g)
             reversed_loop = [(-1, f) for f in reversed(loop)]
-            assert holonomy(reversed_loop) == f_inv(g)
+            assert holonomy(reversed_loop) == ~g
 
     def test_arity_break_rejected(self):
         with pytest.raises(DomainError, match="move 2"):

@@ -29,6 +29,7 @@ from fstrands.forests import (
 )
 
 from helpers import (
+    caret_count,
     random_elementary_forest,
     random_generalized,
     reference_canonicalize_generalized,
@@ -53,7 +54,7 @@ class TestElementaryForest:
         f = ElementaryForest((SC, MC, E))
         assert f.sources == 4
         assert f.sinks == 4
-        assert f.caret_count == 2
+        assert caret_count(f) == 2
 
     def test_to_slices(self):
         # the diagram of a forest linearizes to its row, caret by caret

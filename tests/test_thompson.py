@@ -18,8 +18,6 @@ from fstrands.thompson import (
     common_refinement,
     diagram_to_tree_pair,
     diagram_tree,
-    f_inv,
-    f_mul,
     from_word,
     leaf_count,
     leaf_partition,
@@ -98,23 +96,23 @@ class TestTrees:
 class TestGroupOps:
     def test_identity_behaviour(self):
         e = FElement.identity()
-        assert f_mul(e, X0) == X0
-        assert f_mul(X0, e) == X0
-        assert f_inv(e) == e
+        assert e * X0 == X0
+        assert X0 * e == X0
+        assert ~e == e
 
     def test_inverse_cancels(self):
-        assert f_mul(X0, f_inv(X0)) == FElement.identity()
-        assert f_mul(f_inv(X1), X1) == FElement.identity()
+        assert X0 * ~X0 == FElement.identity()
+        assert ~X1 * X1 == FElement.identity()
 
     def test_involution(self):
         r = rng(3)
         for _ in range(25):
             g = from_word(random_f_word(r))
-            assert f_inv(f_inv(g)) == g
+            assert ~~g == g
 
     def test_generators_do_not_commute(self):
-        assert f_mul(X0, X1) != f_mul(X1, X0)
-        assert not pl_eq(to_pl(f_mul(X0, X1)), to_pl(f_mul(X1, X0)))
+        assert X0 * X1 != X1 * X0
+        assert not pl_eq(to_pl(X0 * X1), to_pl(X1 * X0))
 
     def test_from_word_empty_is_identity(self):
         assert from_word("").is_identity
@@ -158,10 +156,10 @@ class TestGroupOps:
         r = rng(40 + k)
         for _ in range(10):
             g = from_word(random_f_word(r, 10))
-            step = g if k >= 0 else f_inv(g)
+            step = g if k >= 0 else ~g
             expected = FElement.identity()
             for _ in range(abs(k)):
-                expected = f_mul(expected, step)
+                expected = expected * step
             assert g ** k == expected
 
 
@@ -229,8 +227,8 @@ class TestTreePairs:
             a = from_word(random_f_word(r, 6))
             b = from_word(random_f_word(r, 6))
             pa, pb = diagram_to_tree_pair(a), diagram_to_tree_pair(b)
-            recomposed = f_mul(tree_pair_to_diagram(pa), tree_pair_to_diagram(pb))
-            assert recomposed == f_mul(a, b)
+            recomposed = tree_pair_to_diagram(pa) * tree_pair_to_diagram(pb)
+            assert recomposed == a * b
 
 
 class TestTreeWalker:
@@ -378,14 +376,14 @@ class TestPLMaps:
         r = rng(23)
         for _ in range(25):
             g = from_word(random_f_word(r, 8))
-            assert pl_eq(to_pl(f_inv(g)), pl_inverse(to_pl(g)))
+            assert pl_eq(to_pl(~g), pl_inverse(to_pl(g)))
 
     def test_homomorphism(self):
         r = rng(29)
         for _ in range(60):
             a = from_word(random_f_word(r, 6))
             b = from_word(random_f_word(r, 6))
-            assert pl_eq(to_pl(f_mul(a, b)), pl_compose(to_pl(a), to_pl(b)))
+            assert pl_eq(to_pl(a * b), pl_compose(to_pl(a), to_pl(b)))
 
     def test_leaf_partition(self):
         assert leaf_partition((L, (L, L))) == [
