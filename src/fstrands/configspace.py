@@ -123,7 +123,11 @@ def config_map(g: GeneralizedStrandDiagram) -> Config:
 def is_in_df(t: Sequence[Rational]) -> bool:
     """Image membership: t[0] = 1, gaps at most 1, and any short gap is
     flanked by unit gaps wherever those flanks exist."""
-    t = require_cf(t)
+    return _in_df(require_cf(t))
+
+
+def _in_df(t: Config) -> bool:
+    """:func:`is_in_df` of a tuple that ``require_cf`` already checked."""
     if t[0] != 1:
         return False
     gaps = [b - a for a, b in zip(t, t[1:])]
@@ -147,7 +151,7 @@ def df_section(t: Sequence[Rational]) -> GeneralizedStrandDiagram:
     with one leaf per component.
     """
     t = canonicalize_cf(t)
-    if not is_in_df(t):
+    if not _in_df(t):
         raise DomainError(f"{tuple(map(str, t))} is not in the image of the complex")
     comps: list[Union[str, tuple[str, Fraction]]] = []
     k = 0

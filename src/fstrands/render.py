@@ -164,7 +164,10 @@ def render_generalized_svg(g: GeneralizedStrandDiagram, spec: RenderSpec) -> str
 
 
 def render_config_svg(t: tuple[Fraction, ...], spec: RenderSpec) -> str:
-    """One tick per unit of the number line, so entries stay within ``CAP``."""
+    """A number line with ticks every 10^k units, k the least that leaves at
+    most 200 steps between its ends, so the output is bounded by the number
+    of entries; spans up to 100 units get one tick per unit.  Entries stay
+    within ``CAP``."""
     if any(abs(x) > CAP for x in t):
         raise DomainError(f"configuration entries above {CAP} in magnitude do not render")
     canvas = _Canvas(spec.scale)
@@ -174,7 +177,10 @@ def render_config_svg(t: tuple[Fraction, ...], spec: RenderSpec) -> str:
     right = int(hi) + 2
     shift = 1 - left
     canvas.line(left + shift, 1, right + shift, 1)
-    for k in range(left, right + 1):
+    step = 1
+    while right - left > 200 * step:
+        step *= 10
+    for k in range(-(-left // step) * step, right + 1, step):
         canvas.line(k + shift, 0.85, k + shift, 1.15)
         if spec.labels:
             canvas.text(k + shift - 0.15, 1.6, str(k))

@@ -14,8 +14,9 @@ relator tests rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from .diagrams import (
@@ -268,14 +269,35 @@ def from_word(letters: Union[str, Iterable[str]]) -> FElement:
 
 # ---------------------------------------------------------------------------
 # exact piecewise linear maps
+#
+# The arithmetic runs on int numerators over one power-of-two
+# denominator 2^e; ``Fraction`` appears only in ``PLMap.points``.
 
 
-def _is_pow2(n: int) -> bool:
-    return n > 0 and n & (n - 1) == 0
+def _odd(n: int) -> int:
+    """The odd part of a positive int."""
+    return n >> ((n & -n).bit_length() - 1)
 
 
-def _is_dyadic(x: Fraction) -> bool:
-    return _is_pow2(x.denominator)
+def _check_points(den: int, xs: list[int], ys: list[int]) -> None:
+    """Raise ``DomainError`` unless the points (xs[i]/den, ys[i]/den) run
+    from (0,0) to (1,1), strictly increase, have power-of-two slopes (dx
+    and dy have equal odd parts) and are dyadic."""
+    if len(xs) < 2 or xs[0] or ys[0] or xs[-1] != den or ys[-1] != den:
+        raise DomainError("breakpoints must run from (0,0) to (1,1)")
+    for i in range(1, len(xs)):
+        dx, dy = xs[i] - xs[i - 1], ys[i] - ys[i - 1]
+        if dx <= 0 or dy <= 0:
+            raise DomainError("breakpoints must be strictly increasing")
+        if _odd(dx) != _odd(dy):
+            raise DomainError(f"slope {Fraction(dy, dx)} is not a power of two")
+    # n/den is dyadic exactly when the odd part of den divides n
+    q = _odd(den)
+    if q != 1:
+        for x, y in zip(xs, ys):
+            if x % q or y % q:
+                raise DomainError(f"breakpoint ({Fraction(x, den)}, {Fraction(y, den)}) "
+                                  "is not dyadic")
 
 
 @dataclass(frozen=True)
@@ -283,24 +305,19 @@ class PLMap:
     """A PL homeomorphism of [0,1]: dyadic breakpoints, power-of-two slopes.
 
     Breakpoints are stored in canonical form (no collinear interior
-    points), so map equality is plain tuple equality.
+    points), so map equality is plain tuple equality.  ``_num`` holds the
+    same points as (e, xs, ys), int numerators over 2^e with e least.
     """
 
     points: tuple[tuple[Fraction, Fraction], ...]
+    _num: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pts = self.points
-        if len(pts) < 2 or pts[0] != (0, 0) or pts[-1] != (1, 1):
-            raise DomainError("breakpoints must run from (0,0) to (1,1)")
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if not (x0 < x1 and y0 < y1):
-                raise DomainError("breakpoints must be strictly increasing")
-            slope = (y1 - y0) / (x1 - x0)
-            if not (_is_pow2(slope.numerator) and _is_pow2(slope.denominator)):
-                raise DomainError(f"slope {slope} is not a power of two")
-        for x, y in pts:
-            if not (_is_dyadic(x) and _is_dyadic(y)):
-                raise DomainError(f"breakpoint ({x}, {y}) is not dyadic")
+        den = lcm(*(v.denominator for p in self.points for v in p))
+        xs = [x.numerator * (den // x.denominator) for x, _ in self.points]
+        ys = [y.numerator * (den // y.denominator) for _, y in self.points]
+        _check_points(den, xs, ys)
+        object.__setattr__(self, "_num", (den.bit_length() - 1, xs, ys))
 
     @classmethod
     def from_points(cls, pts: Iterable[tuple[Fraction, Fraction]]) -> "PLMap":
@@ -319,7 +336,34 @@ class PLMap:
 
     @staticmethod
     def identity() -> "PLMap":
-        return PLMap(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
+        return _pl_map(0, [0, 1], [0, 1])
+
+
+def _pl_map(e: int, xs: list[int], ys: list[int]) -> PLMap:
+    """The map through the points (xs[i]/2^e, ys[i]/2^e), built by the
+    library: its points pass the same check as ``PLMap``'s, and a failure
+    is a bug.  The exponent is lowered to the least that keeps them ints,
+    since :func:`pl_compose` doubles it and chains of compositions would
+    otherwise grow it exponentially."""
+    try:
+        _check_points(1 << e, xs, ys)
+    except DomainError as exc:
+        raise InvariantViolation(f"built an invalid PL map over 2^{e}: {exc}") from None
+    low = 0
+    for x, y in zip(xs, ys):
+        low |= x | y
+    # the last point is (2^e, 2^e), so s <= e
+    s = (low & -low).bit_length() - 1
+    if s:
+        e -= s
+        xs = [x >> s for x in xs]
+        ys = [y >> s for y in ys]
+    den = 1 << e
+    m = object.__new__(PLMap)
+    object.__setattr__(m, "points", tuple((Fraction(x, den), Fraction(y, den))
+                                          for x, y in zip(xs, ys)))
+    object.__setattr__(m, "_num", (e, xs, ys))
+    return m
 
 
 def pl_eval(m: PLMap, x) -> Fraction:
@@ -339,39 +383,117 @@ def pl_eval(m: PLMap, x) -> Fraction:
 
 
 def pl_inverse(m: PLMap) -> PLMap:
-    return PLMap(tuple((y, x) for x, y in m.points))
+    e, xs, ys = m._num
+    return _pl_map(e, ys, xs)
+
+
+def _slope_exp(xs: list[int], ys: list[int], i: int) -> int:
+    """k with slope 2^k on segment i: dy = dx * 2^k, so their bit lengths
+    differ by k."""
+    return (ys[i + 1] - ys[i]).bit_length() - (xs[i + 1] - xs[i]).bit_length()
+
+
+def _times_pow2(n: int, k: int) -> int:
+    """n * 2^k, asserted to be an int."""
+    if k >= 0:
+        return n << k
+    q = n >> -k
+    if q << -k != n:
+        raise InvariantViolation(f"{n} / 2^{-k} is not an int: the grid is too coarse")
+    return q
 
 
 def pl_compose(m1: PLMap, m2: PLMap) -> PLMap:
-    """The map applying ``m1`` first, then ``m2``."""
-    inv1 = pl_inverse(m1)
-    xs = {x for x, _ in m1.points}
-    xs.update(pl_eval(inv1, x) for x, _ in m2.points)
-    return PLMap.from_points((x, pl_eval(m2, pl_eval(m1, x))) for x in sorted(xs))
+    """The map applying ``m1`` first, then ``m2``.
+
+    One merge sweep over the range breakpoints w of ``m1`` and the domain
+    breakpoints of ``m2``, each w giving the point (m1^-1(w), m2(w)); a
+    point is kept only where the product of slopes changes.  Numerators
+    sit over 2^E with E = 2 max(e1, e2): a slope of ``m1`` lies in
+    [2^-e1, 2^e1] and one of ``m2`` in [2^-e2, 2^e2], so every point the
+    sweep computes lies on that grid, and ``_times_pow2`` asserts it.
+    """
+    e1, xs1, ys1 = m1._num
+    e2, xs2, ys2 = m2._num
+    big = 2 * max(e1, e2)
+    s1, s2 = big - e1, big - e2
+    X, Y = [x << s1 for x in xs1], [y << s1 for y in ys1]
+    U, V = [u << s2 for u in xs2], [v << s2 for v in ys2]
+    end = 1 << big
+    i = j = 0
+    k1, k2 = _slope_exp(X, Y, 0), _slope_exp(U, V, 0)
+    xs, zs = [0], [0]
+    last = None
+    while True:
+        w1, w2 = Y[i + 1], U[j + 1]
+        w = min(w1, w2)
+        x = X[i + 1] if w == w1 else X[i] + _times_pow2(w - Y[i], -k1)
+        z = V[j + 1] if w == w2 else V[j] + _times_pow2(w - U[j], k2)
+        if k1 + k2 == last:
+            xs[-1], zs[-1] = x, z
+        else:
+            xs.append(x)
+            zs.append(z)
+            last = k1 + k2
+        if w == end:
+            return _pl_map(big, xs, zs)
+        if w == w1:
+            i += 1
+            k1 = _slope_exp(X, Y, i)
+        if w == w2:
+            j += 1
+            k2 = _slope_exp(U, V, j)
 
 
 def pl_eq(m1: PLMap, m2: PLMap) -> bool:
     return m1.points == m2.points
 
 
+def _leaf_depths(t: Tree) -> list[int]:
+    """The depths of the leaves of ``t``, left to right, in one iterative walk."""
+    depths: list[int] = []
+    stack = [(t, 0)]
+    while stack:
+        nd, d = stack.pop()
+        if nd:
+            stack += ((nd[1], d + 1), (nd[0], d + 1))
+        else:
+            depths.append(d)
+    return depths
+
+
 def leaf_partition(t: Tree) -> list[Fraction]:
     """Dyadic partition points of [0,1] cut by the leaves of ``t``."""
+    depths = _leaf_depths(t)
+    e = max(depths)
+    den = 1 << e
     out = [Fraction(0)]
-    stack = [(t, Fraction(0), Fraction(1))]
-    while stack:
-        nd, lo, hi = stack.pop()
-        if not nd:
-            out.append(hi)
-            continue
-        mid = (lo + hi) / 2
-        stack += ((nd[1], mid, hi), (nd[0], lo, mid))
+    x = 0
+    for d in depths:
+        x += 1 << (e - d)
+        out.append(Fraction(x, den))
     return out
 
 
 def tree_pair_pl(p: TreePair) -> PLMap:
-    dom = leaf_partition(p.domain)
-    ran = leaf_partition(p.range)
-    return PLMap.from_points(zip(dom, ran))
+    """Leaf i spans 2^-a_i of the domain and 2^-b_i of the range, so its
+    slope is 2^(a_i - b_i); a breakpoint is kept only where that changes.
+    Numerators sit over 2^D, D the largest depth."""
+    a, b = _leaf_depths(p.domain), _leaf_depths(p.range)
+    big = max(max(a), max(b))
+    xs, ys = [0], [0]
+    x = y = 0
+    last = a[0] - b[0]
+    for da, db in zip(a, b):
+        if da - db != last:
+            xs.append(x)
+            ys.append(y)
+            last = da - db
+        x += 1 << (big - da)
+        y += 1 << (big - db)
+    xs.append(x)
+    ys.append(y)
+    return _pl_map(big, xs, ys)
 
 
 def to_pl(a: FElement) -> PLMap:

@@ -32,7 +32,7 @@ from fstrands.forests import (
     canonicalize_generalized,
 )
 from fstrands.diagrams import invert, multiply_row
-from fstrands.thompson import X0, X1, FElement, Tree, TreePair
+from fstrands.thompson import X0, X1, FElement, PLMap, Tree, TreePair
 
 
 def rng(seed: int) -> random.Random:
@@ -741,3 +741,91 @@ def reference_canonicalize_generalized(g: GeneralizedStrandDiagram) -> Generaliz
     kinds = tuple(k for k, _ in comps)
     weights = tuple(w for _, w in comps)
     return GeneralizedStrandDiagram(base, WeightedElementaryForest(kinds, weights))
+
+
+# ---------------------------------------------------------------------------
+# reference PL maps: Fraction arithmetic
+#
+# The library's first PL layer, kept as the reference for the integer one:
+# partition points by halving intervals, collinear points dropped by cross
+# products, composition by evaluating at every breakpoint.
+
+
+def _is_pow2(n: int) -> bool:
+    return n > 0 and n & (n - 1) == 0
+
+
+def reference_pl_check(pts) -> str | None:
+    """The message the first ``PLMap`` validator raised for ``pts``, or None."""
+    if len(pts) < 2 or pts[0] != (0, 0) or pts[-1] != (1, 1):
+        return "breakpoints must run from (0,0) to (1,1)"
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if not (x0 < x1 and y0 < y1):
+            return "breakpoints must be strictly increasing"
+        slope = (y1 - y0) / (x1 - x0)
+        if not (_is_pow2(slope.numerator) and _is_pow2(slope.denominator)):
+            return f"slope {slope} is not a power of two"
+    for x, y in pts:
+        if not (_is_pow2(x.denominator) and _is_pow2(y.denominator)):
+            return f"breakpoint ({x}, {y}) is not dyadic"
+    return None
+
+
+def reference_canonical_points(pts) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Sort and deduplicate the points, then drop collinear interior ones."""
+    raw = sorted({(Fraction(x), Fraction(y)) for x, y in pts})
+    keep: list[tuple[Fraction, Fraction]] = []
+    for p in raw:
+        while len(keep) >= 2:
+            (x0, y0), (x1, y1) = keep[-2], keep[-1]
+            if (y1 - y0) * (p[0] - x1) == (p[1] - y1) * (x1 - x0):
+                keep.pop()
+            else:
+                break
+        keep.append(p)
+    return tuple(keep)
+
+
+def reference_from_points(pts) -> PLMap:
+    return PLMap(reference_canonical_points(pts))
+
+
+def reference_leaf_partition(t: Tree) -> list[Fraction]:
+    out = [Fraction(0)]
+    stack = [(t, Fraction(0), Fraction(1))]
+    while stack:
+        nd, lo, hi = stack.pop()
+        if not nd:
+            out.append(hi)
+            continue
+        mid = (lo + hi) / 2
+        stack += ((nd[1], mid, hi), (nd[0], lo, mid))
+    return out
+
+
+def reference_tree_pair_pl(p: TreePair) -> PLMap:
+    return reference_from_points(zip(reference_leaf_partition(p.domain),
+                                     reference_leaf_partition(p.range)))
+
+
+def reference_pl_eval(points, x: Fraction) -> Fraction:
+    """Binary search for the segment holding x, then interpolate."""
+    lo, hi = 0, len(points) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if points[mid][0] <= x:
+            lo = mid
+        else:
+            hi = mid
+    (x0, y0), (x1, y1) = points[lo], points[hi]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def reference_pl_compose(m1: PLMap, m2: PLMap) -> PLMap:
+    """``m1`` then ``m2``, evaluated at the breakpoints of ``m1`` and the
+    preimages under ``m1`` of the breakpoints of ``m2``."""
+    inv1 = tuple((y, x) for x, y in m1.points)
+    xs = {x for x, _ in m1.points}
+    xs.update(reference_pl_eval(inv1, x) for x, _ in m2.points)
+    return reference_from_points(
+        (x, reference_pl_eval(m2.points, reference_pl_eval(m1.points, x))) for x in sorted(xs))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fstrands import configspace
 from fstrands.configspace import (
     as_config,
     canonicalize_cf,
@@ -199,6 +200,25 @@ class TestSection:
     def test_rejects_non_image_points(self):
         with pytest.raises(DomainError):
             df_section(cfg(1, 3))
+
+    def test_checks_its_input_once(self, monkeypatch):
+        calls = []
+        real = configspace.is_in_cf
+
+        def spy(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(configspace, "is_in_cf", spy)
+        r = rng(5)
+        points = [random_df_point(r) for _ in range(20)]
+        for t in points:
+            df_section(t)
+        assert len(calls) == len(points)
+        calls.clear()
+        with pytest.raises(DomainError, match="not in the image"):
+            df_section(cfg(1, 3))
+        assert len(calls) == 1
 
     def test_collapses_duplicates_first(self):
         p = df_section(cfg(1, 1, 2))

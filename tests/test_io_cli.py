@@ -1,5 +1,6 @@
 """Text formats, renderers, and the command-line front end."""
 
+import hashlib
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -392,6 +393,24 @@ class TestCli:
         code, out, _ = run(["render", "-", "--kind", "config"], "1 3/2 5/2\n")
         assert code == 0
         ET.fromstring(out)
+
+    @pytest.mark.parametrize("config", ["0 100000\n", f"-{CAP} {CAP}\n"])
+    def test_render_config_size_is_bounded_at_cap(self, config):
+        # one tick per unit wrote 9.65 MB for "0 100000"
+        code, out, _ = run(["render", "-", "--kind", "config"], config)
+        assert code == 0
+        assert len(out.encode()) < 100_000
+        ET.fromstring(out)
+
+    @pytest.mark.parametrize("config, digest", [
+        ("-50 50\n", "ad296157ea6bf06c6260bb4490d197aa2a3688b1a74d6bb99dc89608b6fcbb56"),
+        ("-3/2 98\n", "4e430c1261c0a183ecd307e463915f5603a54b2a315669c4959fd365b0ffdaa1"),
+    ])
+    def test_render_config_spans_up_to_100_keep_one_tick_per_unit(self, config, digest):
+        # digests of the one-tick-per-unit drawing
+        code, out, _ = run(["render", "-", "--kind", "config"], config)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("config", ["1e400\n", "0 1000000\n", f"-{CAP + 1} 0\n"])
     def test_render_config_far_from_zero_rejected(self, config):

@@ -1,5 +1,6 @@
 """Group structure on (1,1) diagrams and the PL homeomorphism oracle."""
 
+import re
 import sys
 from fractions import Fraction
 
@@ -39,13 +40,19 @@ from helpers import (
     random_diagram,
     random_f_word,
     random_vertex_diagram,
+    reference_canonical_points,
     reference_diagram_tree,
+    reference_leaf_partition,
+    reference_pl_check,
+    reference_pl_compose,
+    reference_tree_pair_pl,
     reference_merge_free_form,
     reference_tree_pair,
     rng,
 )
 
 L = ()
+F = Fraction
 
 
 def random_tree(r, max_leaves=8, exact=None):
@@ -407,6 +414,135 @@ class TestPLMaps:
         with pytest.raises(DomainError, match="increasing"):
             PLMap(((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)),
                    (Fraction(1), Fraction(1))))
+
+
+INVALID_POINTS = {
+    "run from": ((0, 0), (1, F(1, 2))),
+    "increasing": ((0, 0), (F(1, 4), F(1, 2)), (F(1, 2), F(1, 4)), (1, 1)),
+    "power of two": ((0, 0), (F(1, 4), F(3, 4)), (1, 1)),
+    "dyadic": ((0, 0), (F(1, 3), F(2, 3)), (1, 1)),
+}
+
+
+def perturbed_points(r) -> tuple:
+    """The breakpoints of a random element with one point moved, dropped,
+    repeated or swapped with its neighbour, or none changed."""
+    pts = list(to_pl(from_word(random_f_word(r, 8))).points)
+    i = r.randrange(len(pts))
+    move = r.randrange(5)
+    if move == 0:
+        x, y = pts[i]
+        d = F(r.choice([1, -1]), r.choice([2, 3, 5, 8, 16, 64]))
+        pts[i] = r.choice([(x + d, y), (x, y + d), (x + d, y + d)])
+    elif move == 1 and len(pts) > 2:
+        del pts[i]
+    elif move == 2:
+        pts.insert(i, pts[i])
+    elif move == 3 and i + 1 < len(pts):
+        pts[i], pts[i + 1] = pts[i + 1], pts[i]
+    return tuple(pts)
+
+
+class TestPLValidation:
+    """``PLMap`` and ``PLMap.from_points`` reject what the Fraction
+    validator kept in ``tests/helpers.py`` rejects, with its message."""
+
+    @pytest.mark.parametrize("build", [PLMap, PLMap.from_points], ids=["init", "from_points"])
+    @pytest.mark.parametrize("kind", sorted(INVALID_POINTS))
+    def test_each_invalid_kind_raises(self, build, kind):
+        pts = INVALID_POINTS[kind]
+        assert kind in reference_pl_check(pts)
+        with pytest.raises(DomainError, match=kind):
+            build(pts)
+
+    def test_matches_reference_on_perturbed_maps(self):
+        r = rng(1207)
+        rejected = 0
+        for _ in range(600):
+            pts = perturbed_points(r)
+            for build, canon in ((PLMap, pts), (PLMap.from_points, reference_canonical_points(pts))):
+                msg = reference_pl_check(canon)
+                if msg is None:
+                    assert build(pts).points == canon
+                else:
+                    rejected += 1
+                    with pytest.raises(DomainError, match=re.escape(msg)):
+                        build(pts)
+        assert 300 < rejected < 1000
+
+    def test_library_maps_failing_the_check_are_bugs(self):
+        with pytest.raises(InvariantViolation, match="power of two"):
+            thompson._pl_map(2, [0, 1, 4], [0, 3, 4])
+
+    def test_inexact_division_raises(self):
+        assert thompson._times_pow2(3, 2) == 12
+        assert thompson._times_pow2(12, -2) == 3
+        with pytest.raises(InvariantViolation):
+            thompson._times_pow2(6, -2)
+
+
+def assert_exact(m: PLMap) -> None:
+    assert all(type(v) is Fraction for p in m.points for v in p)
+
+
+class TestIntegerPLMatchesReference:
+    """``to_pl``, ``pl_compose`` and ``leaf_partition`` on int numerators
+    give the points of the Fraction reference in ``tests/helpers.py``."""
+
+    def test_random_words(self):
+        r = rng(1201)
+        for _ in range(300):
+            a = from_word(random_f_word(r, 16))
+            b = from_word(random_f_word(r, 16))
+            pair = diagram_to_tree_pair(a)
+            pa, pb = to_pl(a), to_pl(b)
+            assert pa.points == reference_tree_pair_pl(pair).points
+            assert leaf_partition(pair.range) == reference_leaf_partition(pair.range)
+            ab = pl_compose(pa, pb)
+            assert ab.points == reference_pl_compose(pa, pb).points == to_pl(a * b).points
+            assert_exact(ab)
+
+    def test_inverses_compose_to_the_identity(self):
+        r = rng(1202)
+        e = PLMap.identity().points
+        for _ in range(200):
+            g = from_word(random_f_word(r, 16))
+            m, inv = to_pl(g), to_pl(~g)
+            assert inv.points == reference_tree_pair_pl(diagram_to_tree_pair(~g)).points
+            assert pl_inverse(m).points == inv.points
+            assert pl_compose(m, inv).points == pl_compose(inv, m).points == e
+            assert reference_pl_compose(m, inv).points == e
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_ab_ladder(self, k):
+        g = from_word("ab" * k)
+        assert to_pl(g).points == reference_tree_pair_pl(diagram_to_tree_pair(g)).points
+        step = to_pl(from_word("ab"))
+        got = ref = step
+        for _ in range(k - 1):
+            got, ref = pl_compose(got, step), reference_pl_compose(ref, step)
+        assert got.points == ref.points == to_pl(g).points
+
+    def test_combs_deeper_than_the_recursion_limit(self):
+        n = 1500
+        assert n > sys.getrecursionlimit()
+        right = left = L
+        for _ in range(n - 1):
+            right, left = (L, right), (left, L)
+        assert leaf_partition(right) == reference_leaf_partition(right)
+        assert leaf_partition(left) == reference_leaf_partition(left)
+        maps = []
+        for pair in (TreePair(right, left), TreePair(left, right)):
+            m = tree_pair_pl(pair)
+            assert m.points == reference_tree_pair_pl(pair).points
+            assert max(v.denominator for p in m.points for v in p) == 2 ** (n - 1)
+            assert to_pl(tree_pair_to_diagram(pair)).points == m.points
+            assert_exact(m)
+            maps.append(m)
+        there, back = maps
+        assert pl_compose(there, back).points == PLMap.identity().points
+        twice = pl_compose(there, there)
+        assert twice.points == reference_pl_compose(there, there).points
 
 
 class TestWordProblemCrossOracle:
