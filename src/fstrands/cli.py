@@ -110,10 +110,7 @@ def _bool_line(flag: bool) -> str:
 
 
 def _vertex(text: str) -> cubes.ComplexVertex:
-    d = textio.parse_diagram(text)
-    if d.m != 1:
-        raise DomainError(f"expected a (1,n) diagram, got {d.m} sources")
-    return cubes.ComplexVertex(d)
+    return cubes.ComplexVertex(textio.parse_diagram(text))
 
 
 def _dispatch(ns: argparse.Namespace, stdin: io.TextIOBase, out: io.TextIOBase) -> None:

@@ -164,9 +164,8 @@ class Cube:
 
 
 def _cube(v: ComplexVertex, row: tuple[str, ...], tops: dict) -> Cube:
-    """:func:`cube_from_forest` on a component row, without its arity
-    check; ``tops`` keeps the top vertex of each merge pattern, so each is
-    built once."""
+    """:func:`cube_from_forest` on a component row; ``tops`` keeps the top
+    vertex of each merge pattern, so each is built once."""
     merges = tuple(EDGE if c == SPLIT else c for c in row)
     top = tops.get(merges)
     if top is None:
@@ -181,10 +180,6 @@ def cube_from_forest(v: ComplexVertex, forest: ElementaryForest) -> Cube:
     Its top vertex applies only the merges of the forest; each caret,
     split or merge, then contributes one split of the canonical forest.
     """
-    if forest.sources != v.n:
-        raise DomainError(
-            f"forest has {forest.sources} sources but vertex has {v.n} sinks"
-        )
     return _cube(v, forest.components, {})
 
 

@@ -362,8 +362,7 @@ def reduce(d: StrandDiagram, rng: Optional[random.Random] = None) -> StrandDiagr
                                       dict(d._up), list(d._bot), d._slots), rng)
 
 
-def multiply(a: StrandDiagram, b: StrandDiagram,
-             rng: Optional[random.Random] = None) -> StrandDiagram:
+def multiply(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
     """Stack ``a`` on top of ``b`` and return the reduced representative.
 
     ``a``'s tables are copied whole; ``b``'s vertex ids are shifted past
@@ -401,7 +400,7 @@ def multiply(a: StrandDiagram, b: StrandDiagram,
         down[e] = t
     bot = [e + s2 if e >= 0 else abot[~e] for e in b._bot]
     d = StrandDiagram(a.m, b.n, kind, down, up, bot, s + b._slots)
-    return _reduce_maps(d, rng, seeds)
+    return _reduce_maps(d, None, seeds)
 
 
 def multiply_row(a: StrandDiagram, kinds: Sequence[str]) -> StrandDiagram:

@@ -211,9 +211,7 @@ def canonicalize_generalized(g: GeneralizedStrandDiagram) -> GeneralizedStrandDi
             row += [EDGE] * _SOURCES[k]
     if any(c != EDGE for c in row):
         base = multiply_row(base, row)
-    kinds = tuple(k for k, _ in comps)
-    weights = tuple(w for _, w in comps)
-    return GeneralizedStrandDiagram(base, WeightedElementaryForest(kinds, weights))
+    return GeneralizedStrandDiagram(base, WeightedElementaryForest.from_pairs(comps))
 
 
 def random_gmove(g: GeneralizedStrandDiagram,
@@ -269,6 +267,4 @@ def random_gmove(g: GeneralizedStrandDiagram,
     else:  # pull_merge
         base = multiply_row(base, _one_caret(base.n, SPLIT, pos_i))
         comps[i:i + 1] = [(MERGE, Fraction(1))]
-    kinds = tuple(k for k, _ in comps)
-    weights = tuple(w for _, w in comps)
-    return GeneralizedStrandDiagram(base, WeightedElementaryForest(kinds, weights))
+    return GeneralizedStrandDiagram(base, WeightedElementaryForest.from_pairs(comps))

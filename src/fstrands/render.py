@@ -13,6 +13,7 @@ Identical inputs and options always produce byte-identical output.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,8 +100,19 @@ class _Canvas:
 
 
 def _draw_word(canvas: _Canvas, d: StrandDiagram, labels: bool) -> int:
-    """Draw the slice bands of a diagram; returns the final time row."""
+    """Draw the slice bands of a diagram; returns the final time row.
+
+    A band draws one segment per strand on its wider side, and a diagram
+    whose bands hold more than ``CAP`` segments is refused before any is
+    drawn, since the output grows as events times strands."""
     word = d.to_slices()
+    count = word.sources
+    segments = 0 if word.events else count
+    for tag, _ in word.events:
+        segments += count + (tag == SPLIT)
+        count += 1 if tag == SPLIT else -1
+    if segments > CAP:
+        raise DomainError(f"a drawing of {segments} strand segments exceeds {CAP}")
     count = word.sources
     for t, (tag, i) in enumerate(word.events):
         if tag == SPLIT:
@@ -184,9 +196,7 @@ def render_config_svg(t: tuple[Fraction, ...], spec: RenderSpec) -> str:
         canvas.line(k + shift, 0.85, k + shift, 1.15)
         if spec.labels:
             canvas.text(k + shift - 0.15, 1.6, str(k))
-    counts: dict[Fraction, int] = {}
-    for x in t:
-        counts[x] = counts.get(x, 0) + 1
+    counts = Counter(t)
     for x in sorted(counts):
         canvas.dot(float(x) + shift, 1, r=4.5)
         if counts[x] > 1:

@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .cubes import CAP, BallGraph
 from .diagrams import MERGE, SPLIT, SliceWord, StrandDiagram, from_slices
-from .errors import FormatError, SliceWordError
+from .errors import FormatError
 from .forests import (
     EDGE,
     ElementaryForest,
@@ -88,10 +88,7 @@ def _diagram_from_rows(rows: list[tuple[int, list[str]]]) -> StrandDiagram:
         if parts[0] not in (SPLIT, MERGE) or len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'S <i>' or 'M <i>'")
         events.append((parts[0], _parse_int(parts[1], "strand index", lineno)))
-    try:
-        return from_slices(SliceWord(m, tuple(events)))
-    except SliceWordError as exc:
-        raise FormatError(str(exc)) from exc
+    return from_slices(SliceWord(m, tuple(events)))
 
 
 def emit_diagram(d: StrandDiagram) -> str:

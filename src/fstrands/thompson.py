@@ -14,9 +14,12 @@ relator tests rather than assumed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .diagrams import (
@@ -39,23 +42,28 @@ from .errors import DomainError, InvariantViolation
 Tree = tuple
 
 
-def leaf_count(t: Tree) -> int:
-    count = 0
-    stack = [t]
+def _leaf_depths(t: Tree) -> list[int]:
+    """The depths of the leaves of ``t``, left to right, in one iterative walk."""
+    depths: list[int] = []
+    stack = [(t, 0)]
     while stack:
-        nd = stack.pop()
+        nd, d = stack.pop()
         if nd:
-            stack += nd
+            stack += ((nd[1], d + 1), (nd[0], d + 1))
         else:
-            count += 1
-    return count
+            depths.append(d)
+    return depths
 
 
-def tree_splits(t: Tree, pos: int = 1) -> list[Event]:
-    """Slice events growing ``t`` from a single strand at position ``pos``.
+def leaf_count(t: Tree) -> int:
+    return len(_leaf_depths(t))
+
+
+def tree_splits(t: Tree) -> list[Event]:
+    """Slice events growing ``t`` from a single strand.
 
     A preorder walk: each caret splits the strand at the position of its
-    leftmost leaf, which is ``pos`` plus the leaves already passed.
+    leftmost leaf, which is 1 plus the leaves already passed.
     """
     events: list[Event] = []
     passed = 0
@@ -63,7 +71,7 @@ def tree_splits(t: Tree, pos: int = 1) -> list[Event]:
     while stack:
         nd = stack.pop()
         if nd:
-            events.append((SPLIT, pos + passed))
+            events.append((SPLIT, 1 + passed))
             stack += (nd[1], nd[0])
         else:
             passed += 1
@@ -300,24 +308,47 @@ def _check_points(den: int, xs: list[int], ys: list[int]) -> None:
                                   "is not dyadic")
 
 
+def _lowest(e: int, xs: list[int], ys: list[int]) -> tuple:
+    """(e, xs, ys) with e lowered to the least that keeps the numerators
+    ints, since :func:`pl_compose` doubles it and chains of compositions
+    would otherwise grow it exponentially."""
+    low = 0
+    for x, y in zip(xs, ys):
+        low |= x | y
+    # the last point is (2^e, 2^e), so s <= e
+    s = (low & -low).bit_length() - 1
+    if s:
+        return e - s, [x >> s for x in xs], [y >> s for y in ys]
+    return e, xs, ys
+
+
 @dataclass(frozen=True)
 class PLMap:
     """A PL homeomorphism of [0,1]: dyadic breakpoints, power-of-two slopes.
 
-    Breakpoints are stored in canonical form (no collinear interior
-    points), so map equality is plain tuple equality.  ``_num`` holds the
-    same points as (e, xs, ys), int numerators over 2^e with e least.
+    ``points`` holds the breakpoints as given; maps built by the library
+    have no collinear interior points.  ``_num`` holds the canonical form
+    as (e, xs, ys): int numerators over 2^e with e least, keeping only the
+    ends and the points where the slope changes, so two maps are equal
+    exactly when their ``_num`` are (see :func:`pl_eq`).
     """
 
     points: tuple[tuple[Fraction, Fraction], ...]
     _num: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for p in self.points:
+            for v in p:
+                if not isinstance(v, Rational):
+                    raise DomainError(f"breakpoint coordinate {v!r} is not rational")
         den = lcm(*(v.denominator for p in self.points for v in p))
         xs = [x.numerator * (den // x.denominator) for x, _ in self.points]
         ys = [y.numerator * (den // y.denominator) for _, y in self.points]
         _check_points(den, xs, ys)
-        object.__setattr__(self, "_num", (den.bit_length() - 1, xs, ys))
+        keep = [0] + [i for i in range(1, len(xs) - 1)
+                      if _slope_exp(xs, ys, i - 1) != _slope_exp(xs, ys, i)] + [len(xs) - 1]
+        object.__setattr__(self, "_num", _lowest(den.bit_length() - 1, [xs[i] for i in keep],
+                                                 [ys[i] for i in keep]))
 
     @classmethod
     def from_points(cls, pts: Iterable[tuple[Fraction, Fraction]]) -> "PLMap":
@@ -341,23 +372,13 @@ class PLMap:
 
 def _pl_map(e: int, xs: list[int], ys: list[int]) -> PLMap:
     """The map through the points (xs[i]/2^e, ys[i]/2^e), built by the
-    library: its points pass the same check as ``PLMap``'s, and a failure
-    is a bug.  The exponent is lowered to the least that keeps them ints,
-    since :func:`pl_compose` doubles it and chains of compositions would
-    otherwise grow it exponentially."""
+    library with no collinear interior points: they pass the same check
+    as ``PLMap``'s, and a failure is a bug."""
     try:
         _check_points(1 << e, xs, ys)
     except DomainError as exc:
         raise InvariantViolation(f"built an invalid PL map over 2^{e}: {exc}") from None
-    low = 0
-    for x, y in zip(xs, ys):
-        low |= x | y
-    # the last point is (2^e, 2^e), so s <= e
-    s = (low & -low).bit_length() - 1
-    if s:
-        e -= s
-        xs = [x >> s for x in xs]
-        ys = [y >> s for y in ys]
+    e, xs, ys = _lowest(e, xs, ys)
     den = 1 << e
     m = object.__new__(PLMap)
     object.__setattr__(m, "points", tuple((Fraction(x, den), Fraction(y, den))
@@ -371,14 +392,9 @@ def pl_eval(m: PLMap, x) -> Fraction:
     if not 0 <= x <= 1:
         raise DomainError(f"{x} is outside [0, 1]")
     pts = m.points
-    lo, hi = 0, len(pts) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pts[mid][0] <= x:
-            lo = mid
-        else:
-            hi = mid
-    (x0, y0), (x1, y1) = pts[lo], pts[hi]
+    # the segment right of the last breakpoint at or left of x; x = 1 takes the last
+    i = min(bisect_right(pts, x, key=itemgetter(0)), len(pts) - 1)
+    (x0, y0), (x1, y1) = pts[i - 1], pts[i]
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
@@ -446,20 +462,8 @@ def pl_compose(m1: PLMap, m2: PLMap) -> PLMap:
 
 
 def pl_eq(m1: PLMap, m2: PLMap) -> bool:
-    return m1.points == m2.points
-
-
-def _leaf_depths(t: Tree) -> list[int]:
-    """The depths of the leaves of ``t``, left to right, in one iterative walk."""
-    depths: list[int] = []
-    stack = [(t, 0)]
-    while stack:
-        nd, d = stack.pop()
-        if nd:
-            stack += ((nd[1], d + 1), (nd[0], d + 1))
-        else:
-            depths.append(d)
-    return depths
+    """Equality of the maps, whatever collinear points ``points`` holds."""
+    return m1._num == m2._num
 
 
 def leaf_partition(t: Tree) -> list[Fraction]:

@@ -240,6 +240,11 @@ class TestCubes:
                 assert leq(cube.top, corner)
                 assert leq(corner, cube.bottom())
 
+    @pytest.mark.parametrize("comps", [(), ("E",), ("S", "S", "E"), ("M", "M")])
+    def test_cube_from_forest_rejects_wrong_arity(self, comps):
+        with pytest.raises(DomainError, match="2 sinks"):
+            cube_from_forest(vtx(S(1)), ElementaryForest(comps))
+
     def test_cube_rejects_merge_components(self):
         with pytest.raises(DomainError):
             Cube(trivial_vertex(), ElementaryForest(("M",)))

@@ -51,8 +51,13 @@ class TestTextFormats:
             textio.parse_diagram("diag 1\n")
 
     def test_diagram_bad_event_index(self):
-        with pytest.raises(FormatError, match="event 1"):
-            textio.parse_diagram("diagram 1\nM 1\n")
+        for text, event in (("diagram 1\nM 1\n", "event 1: merge index 1"),
+                            ("diagram 2\nS 1\nS 4\n", "event 2: split index 4")):
+            with pytest.raises(FormatError, match=event):
+                textio.parse_diagram(text)
+            code, out, err = run(["reduce", "-"], text)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {event}") and err.count("\n") == 1
 
     def test_diagram_source_count_is_bounded(self):
         # one stub per source: a 19-byte header must not ask for 150 GB
@@ -341,6 +346,16 @@ class TestCli:
         assert code == 0
         assert out == "1|E -- 2|E.E\n"
 
+    @pytest.mark.parametrize("argv", [["upper-bound", "-", "RIGHT"], ["cubes", "-"],
+                                      ["ball", "-", "1"]])
+    def test_vertex_verbs_reject_two_sources(self, argv, tmp_path):
+        right = tmp_path / "right"
+        right.write_text("diagram 1\n")
+        argv = [str(right) if a == "RIGHT" else a for a in argv]
+        code, out, err = run(argv, "diagram 2\nS 1\n")
+        assert (code, out) == (1, "")
+        assert err.startswith("rejected:") and err.count("\n") == 1
+
     def test_ball_cap_exceeded(self):
         code, _, err = run(["ball", "-", "4", "--cap", "5"], "diagram 1\n")
         assert code == 1
@@ -419,6 +434,28 @@ class TestCli:
         assert time.perf_counter() - t0 < 1.0
         assert (code, out) == (1, "")
         assert err.startswith("rejected:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["diagram", "generalized"])
+    def test_render_diagram_size_is_bounded(self, kind):
+        # one segment per strand per band: this 19 kB comb asks for 4,504,500
+        comb = "diagram 1\n" + "".join(f"S {i}\n" for i in range(1, 3001))
+        t0 = time.perf_counter()
+        code, out, err = run(["render", "-", "--kind", kind], comb)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("rejected:") and err.count("\n") == 1
+
+    def test_render_diagram_at_the_bound(self):
+        # a split band on n strands draws n + 1 segments and a merge band n
+        n = (CAP - 2) // 2
+        code, out, _ = run(["render", "-", "--kind", "diagram", "--no-labels"],
+                           f"diagram {n}\nS 1\nM 1\n")
+        assert code == 0
+        assert out.count("<line") == 2 * n + 2 == CAP
+        code, out, err = run(["render", "-", "--kind", "diagram"],
+                             f"diagram {n + 1}\nS 1\nM 1\n")
+        assert (code, out) == (1, "")
+        assert f"{CAP + 2} strand segments" in err
 
     @pytest.mark.parametrize("scale", ["0", "nan", "inf"])
     def test_render_rejects_bad_scale(self, scale):

@@ -45,6 +45,7 @@ from helpers import (
     reference_leaf_partition,
     reference_pl_check,
     reference_pl_compose,
+    reference_pl_eval,
     reference_tree_pair_pl,
     reference_merge_free_form,
     reference_tree_pair,
@@ -470,6 +471,12 @@ class TestPLValidation:
                         build(pts)
         assert 300 < rejected < 1000
 
+    @pytest.mark.parametrize("pts", [((0.0, 0.0), (1.0, 1.0)), ((0, 0), (0.5, 0.5), (1, 1)),
+                                     (("0", "0"), ("1", "1")), ((0, 0), (1, "1"))])
+    def test_non_rational_coordinates_raise(self, pts):
+        with pytest.raises(DomainError, match="not rational"):
+            PLMap(pts)
+
     def test_library_maps_failing_the_check_are_bugs(self):
         with pytest.raises(InvariantViolation, match="power of two"):
             thompson._pl_map(2, [0, 1, 4], [0, 3, 4])
@@ -479,6 +486,69 @@ class TestPLValidation:
         assert thompson._times_pow2(12, -2) == 3
         with pytest.raises(InvariantViolation):
             thompson._times_pow2(6, -2)
+
+
+def with_collinear_points(r, pts: tuple) -> tuple:
+    """``pts`` with points added inside random segments, on the segment."""
+    pts = list(pts)
+    for _ in range(r.randint(1, 3)):
+        i = r.randrange(len(pts) - 1)
+        (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+        t = F(r.randint(1, 7), 8)
+        pts.insert(i + 1, (x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+    return tuple(pts)
+
+
+class TestCanonicalEquality:
+    """``pl_eq`` compares canonical numerators, so breakpoints given to
+    ``PLMap(...)`` with collinear extras still compare equal."""
+
+    def test_collinear_midpoint_of_the_identity(self):
+        m = PLMap(((0, 0), (F(1, 2), F(1, 2)), (1, 1)))
+        assert m.points == ((0, 0), (F(1, 2), F(1, 2)), (1, 1))
+        assert pl_eq(m, PLMap.identity()) and pl_eq(PLMap.identity(), m)
+
+    def test_collinear_variants_of_seeded_maps(self):
+        r = rng(1401)
+        for _ in range(200):
+            m = to_pl(from_word(random_f_word(r, 10)))
+            pts = with_collinear_points(r, m.points)
+            v = PLMap(pts)
+            assert v.points == pts
+            assert pl_eq(v, m) and pl_eq(v, PLMap.from_points(pts))
+            assert v._num == m._num
+            assert [pl_eval(v, x) for x, _ in pts] == [pl_eval(m, x) for x, _ in pts]
+            assert pl_eq(pl_inverse(v), pl_inverse(m))
+
+    def test_unchanged_on_seeded_word_pairs(self):
+        # breakpoint tuples were the equality test; half the pairs are
+        # two words for one element
+        r = rng(1402)
+        equal = 0
+        for k in range(300):
+            w = random_f_word(r, 8)
+            if k % 2:
+                i = r.randrange(len(w) + 1)
+                u = w[:i] + r.choice(["aA", "Aa", "bB", "Bb"]) + w[i:]
+            else:
+                u = random_f_word(r, 8)
+            pa, pb = to_pl(from_word(w)), to_pl(from_word(u))
+            assert pl_eq(pa, pb) == (pa.points == pb.points)
+            equal += pl_eq(pa, pb)
+        assert 150 <= equal < 300
+
+
+class TestPLEvalMatchesReference:
+    def test_endpoints_breakpoints_and_interior_points(self):
+        r = rng(1403)
+        for _ in range(200):
+            m = to_pl(from_word(random_f_word(r, 12)))
+            xs = [x for x, _ in m.points]
+            xs += [F(r.randint(1, 2 ** 10 - 1), 2 ** 10) for _ in range(5)]
+            xs += [F(r.randint(1, 999), 1000) for _ in range(5)]
+            for x in xs:
+                assert pl_eval(m, x) == reference_pl_eval(m.points, x)
+            assert pl_eval(m, 0) == 0 and pl_eval(m, 1) == 1
 
 
 def assert_exact(m: PLMap) -> None:
