@@ -190,7 +190,7 @@ def _redex_at(u: int, kind: dict, down: dict) -> Optional[tuple[str, int]]:
 
     Type "I": u is a merge whose output feeds a split v.
     Type "II": u is a split whose outputs feed one merge v, left to left
-    and right to right.
+    and right to right.  :func:`_reduce_maps` inlines the same test.
     """
     ku = kind.get(u)
     if ku is None:
@@ -217,40 +217,52 @@ def _reduce_maps(d: "StrandDiagram", rng: Optional[random.Random],
     ``rng`` the next anchor is drawn at random from the worklist.
     """
     kind, down, up, bot = d._kind, d._down, d._up, d._bot
+    get = kind.get
     nv0 = len(kind)
     steps = 0
     work = list(kind if seeds is None else seeds)
+    pop, push = work.pop, work.append
     while work:
         if rng is None:
-            u = work.pop()
+            u = pop()
         else:
             idx = rng.randrange(len(work))
             u = work[idx]
             work[idx] = work[-1]
-            work.pop()
-        rx = _redex_at(u, kind, down)
-        if rx is None:
+            pop()
+        # the test of :func:`_redex_at`, inlined; t is v's in-port 0 in a redex
+        ku = get(u)
+        if ku is None:
             continue
-        steps += 1
-        v = rx[1]
-        u0, v0 = 2 * u, 2 * v
-        if rx[0] == "I":
+        u0 = 2 * u
+        t = down[u0]
+        if t < 0:
+            continue
+        v = t >> 1
+        if ku == MERGE:
+            if kind[v] != SPLIT:
+                continue
             # merge u over split v: u's inputs take over v's outputs
-            edges = ((up.pop(u0), down.pop(v0)), (up.pop(u0 + 1), down.pop(v0 + 1)))
-            del up[v0], down[u0]
+            del up[t], down[u0]
+            ports = (0, 1)
         else:
+            if t & 1 or kind[v] != MERGE or down[u0 + 1] != t + 1:
+                continue
             # split u into merge v: u's input takes over v's output
-            edges = ((up.pop(u0), down.pop(v0)),)
-            del up[v0], up[v0 + 1], down[u0], down[u0 + 1]
+            del up[t], up[t + 1], down[u0], down[u0 + 1]
+            ports = (0,)
         del kind[u], kind[v]
-        for a, b in edges:
+        steps += 1
+        for p in ports:
+            a = up.pop(u0 + p)
+            b = down.pop(t + p)
             down[a] = b
             if b >= 0:
                 up[b] = a
             else:
                 bot[~b] = a
             if a >= 0:
-                work.append(a >> 1)
+                push(a >> 1)
     if 2 * steps > nv0:
         raise InvariantViolation("reduction performed more steps than vertices allow")
     d._reduced = True
@@ -321,7 +333,8 @@ class StrandDiagram:
     def __eq__(self, other: object):
         if not isinstance(other, StrandDiagram):
             return NotImplemented
-        return (self.m == other.m and self.n == other.n
+        # isotopic diagrams have as many vertices, so a count apart needs no linearization
+        return (self.m == other.m and self.n == other.n and len(self._kind) == len(other._kind)
                 and self.to_slices().events == other.to_slices().events)
 
     def __hash__(self) -> int:

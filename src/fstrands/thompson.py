@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from numbers import Rational
 from operator import itemgetter
@@ -182,7 +183,7 @@ class FElement:
         """|k| stacked copies of the element (of its inverse when k < 0),
         reduced once."""
         g = self if k >= 0 else ~self
-        return _element(g.rep.to_slices().events * abs(k))
+        return _stack(repeat(g.rep, abs(k)))
 
     def __eq__(self, other: object):
         if not isinstance(other, FElement):
@@ -196,17 +197,51 @@ class FElement:
         return f"FElement({self.rep.to_slices().events})"
 
 
-def _element(events: Iterable[Event]) -> FElement:
-    """The element of a (1,1) slice word.  Nothing else holds the fresh
-    diagram, so it is reduced in place rather than copied by ``reduce``."""
-    return FElement(_reduce_maps(from_slices(SliceWord(1, tuple(events))), None))
+def _stack(reps: Iterable[StrandDiagram]) -> FElement:
+    """The product of reduced (1,1) diagrams, top to bottom, reduced once.
+
+    Each factor's tables are copied with its vertex ids shifted past the
+    factors above it, and its source is joined to the feeder of the
+    running sink.  Every factor is reduced and one strand crosses each
+    seam, so the redexes of the stack are at the seams, anchored at the
+    vertex feeding each one: those feeders are the only seeds.  Identity
+    factors are skipped.
+    """
+    kind: dict = {}
+    down: dict = {~0: ~0}
+    up: dict = {}
+    feeder = ~0  # the out-endpoint feeding the running sink
+    s = 0
+    seeds: list[int] = []
+    for f in reps:
+        if not f._kind:
+            continue
+        s2 = 2 * s
+        for v, k in f._kind.items():
+            kind[v + s] = k
+        for e, t in f._down.items():
+            if e < 0:
+                e = feeder
+                if e >= 0:
+                    seeds.append(e >> 1)
+            else:
+                e += s2
+            if t >= 0:
+                t += s2
+                up[t] = e
+            down[e] = t  # a sink edge is rewired by the next factor
+        feeder = f._bot[0] + s2
+        s += f._slots
+    return FElement(_reduce_maps(StrandDiagram(1, 1, kind, down, up, [feeder], s), None, seeds))
 
 
 def tree_pair_to_diagram(p: TreePair) -> FElement:
-    """Splits of the domain tree stacked over merges of the range tree."""
+    """Splits of the domain tree stacked over merges of the range tree.
+    Nothing else holds the fresh diagram, so it is reduced in place
+    rather than copied by ``reduce``."""
     down = tree_splits(p.domain)
     up = [(MERGE if t == SPLIT else SPLIT, i) for t, i in reversed(tree_splits(p.range))]
-    return _element(down + up)
+    return FElement(_reduce_maps(from_slices(SliceWord(1, tuple(down + up))), None))
 
 
 def merge_free_form(d: StrandDiagram) -> tuple[StrandDiagram, int]:
@@ -253,26 +288,22 @@ _LETTERS = {
     "B": ~X1,
 }
 
-#: Canonical (1,1) slice events of each generator letter.
-_LETTER_EVENTS = {ch: g.rep.to_slices().events for ch, g in _LETTERS.items()}
-
-
 def from_word(letters: Union[str, Iterable[str]]) -> FElement:
     """Product of generators; letters a, A, b, B mean x0, x0^-1, x1, x1^-1.
 
-    The letters' slice words are concatenated into one (1,1) diagram,
-    which is reduced once; reduced forms are unique, so this equals the
-    product taken one letter at a time, in time linear in the word.
+    The letters' diagrams are stacked and reduced once, seeded only at
+    the seams; reduced forms are unique, so this equals the product taken
+    one letter at a time, in time linear in the word.
     """
-    events: list[Event] = []
+    reps: list[StrandDiagram] = []
     for ch in letters:
         if ch.isspace():
             continue
         try:
-            events += _LETTER_EVENTS[ch]
+            reps.append(_LETTERS[ch].rep)
         except KeyError:
             raise DomainError(f"unknown generator letter {ch!r}") from None
-    return _element(events)
+    return _stack(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +340,25 @@ def _check_points(den: int, xs: list[int], ys: list[int]) -> None:
 
 
 def _lowest(e: int, xs: list[int], ys: list[int]) -> tuple:
-    """(e, xs, ys) with e lowered to the least that keeps the numerators
-    ints, since :func:`pl_compose` doubles it and chains of compositions
-    would otherwise grow it exponentially."""
+    """(e, xs, ys), xs and ys as tuples, with e lowered to the least that
+    keeps the numerators ints, since :func:`pl_compose` doubles it and
+    chains of compositions would otherwise grow it exponentially."""
     low = 0
     for x, y in zip(xs, ys):
         low |= x | y
     # the last point is (2^e, 2^e), so s <= e
     s = (low & -low).bit_length() - 1
     if s:
-        return e - s, [x >> s for x in xs], [y >> s for y in ys]
-    return e, xs, ys
+        e, xs, ys = e - s, [x >> s for x in xs], [y >> s for y in ys]
+    return e, tuple(xs), tuple(ys)
+
+
+def _require_rational(pts) -> None:
+    """Raise ``DomainError`` unless every coordinate is a rational number."""
+    for p in pts:
+        for v in p:
+            if not isinstance(v, Rational):
+                raise DomainError(f"breakpoint coordinate {v!r} is not rational")
 
 
 @dataclass(frozen=True)
@@ -329,18 +368,16 @@ class PLMap:
     ``points`` holds the breakpoints as given; maps built by the library
     have no collinear interior points.  ``_num`` holds the canonical form
     as (e, xs, ys): int numerators over 2^e with e least, keeping only the
-    ends and the points where the slope changes, so two maps are equal
-    exactly when their ``_num`` are (see :func:`pl_eq`).
+    ends and the points where the slope changes.  Two maps are equal,
+    and hash alike, exactly when their ``_num`` are, whatever collinear
+    points ``points`` holds.
     """
 
-    points: tuple[tuple[Fraction, Fraction], ...]
-    _num: tuple = field(init=False, repr=False, compare=False)
+    points: tuple[tuple[Fraction, Fraction], ...] = field(compare=False)
+    _num: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for p in self.points:
-            for v in p:
-                if not isinstance(v, Rational):
-                    raise DomainError(f"breakpoint coordinate {v!r} is not rational")
+        _require_rational(self.points)
         den = lcm(*(v.denominator for p in self.points for v in p))
         xs = [x.numerator * (den // x.denominator) for x, _ in self.points]
         ys = [y.numerator * (den // y.denominator) for _, y in self.points]
@@ -353,6 +390,8 @@ class PLMap:
     @classmethod
     def from_points(cls, pts: Iterable[tuple[Fraction, Fraction]]) -> "PLMap":
         """Build from breakpoints, dropping collinear interior points."""
+        pts = tuple(pts)
+        _require_rational(pts)
         raw = sorted({(Fraction(x), Fraction(y)) for x, y in pts})
         keep: list[tuple[Fraction, Fraction]] = []
         for p in raw:
@@ -463,7 +502,7 @@ def pl_compose(m1: PLMap, m2: PLMap) -> PLMap:
 
 def pl_eq(m1: PLMap, m2: PLMap) -> bool:
     """Equality of the maps, whatever collinear points ``points`` holds."""
-    return m1._num == m2._num
+    return m1 == m2
 
 
 def leaf_partition(t: Tree) -> list[Fraction]:

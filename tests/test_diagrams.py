@@ -280,6 +280,27 @@ class TestMultiply:
             assert equivalent(multiply(a, identity(a.n)), a)
 
 
+class TestEquality:
+    def test_vertex_counts_apart_compare_unequal_without_linearizing(self):
+        r = rng(7500)
+        pairs = [(from_slices(SliceWord(1, (S(1), M(1)))), identity(1))]
+        while len(pairs) < 100:
+            a = random_diagram(r, max_events=20, m_max=3)
+            b = random_diagram(r, m=a.m, max_events=20)
+            if a.n == b.n and a.vertex_count != b.vertex_count:
+                pairs.append((a, b))
+        for a, b in pairs:
+            assert a != b and b != a
+            assert a._word is None and b._word is None
+
+    def test_equal_vertex_counts_still_linearize(self):
+        a = from_slices(SliceWord(2, (S(1), M(2))))
+        b = from_slices(SliceWord(2, (S(2), M(1))))
+        assert a.vertex_count == b.vertex_count
+        assert a != b and a._word is not None and b._word is not None
+        assert a == from_slices(SliceWord(2, (S(1), M(2))))
+
+
 class TestInvert:
     def test_trivial(self):
         assert invert(identity(1)) == identity(1)
@@ -347,6 +368,8 @@ class TestIntCoreAgainstReference:
             _matches_reference(d, ref)
             red = reduce(d)
             _matches_reference(red, reference_reduce(ref))
+            _matches_reference(reduce(d, rng=random.Random(r.randrange(2 ** 30))),
+                               reference_reduce(ref))
             _matches_reference(d, ref)  # reduce copies, never edits its input
             flipped = tuple((M if tag == SPLIT else S)(i)
                             for tag, i in reversed(reference_greedy(ref)))

@@ -8,7 +8,7 @@ import pytest
 
 from fstrands import cubes, diagrams, thompson
 from fstrands.cubes import ComplexVertex, upper_bound
-from fstrands.diagrams import M, S, SliceWord, StrandDiagram, from_slices, reduce
+from fstrands.diagrams import M, S, SliceWord, StrandDiagram, encode_word, from_slices, reduce
 from fstrands.errors import DomainError, InvariantViolation
 from fstrands.thompson import (
     X0,
@@ -35,6 +35,7 @@ from fstrands.thompson import (
 )
 
 from helpers import (
+    check_tables,
     full_round_tree_pair,
     left_fold_from_word,
     random_diagram,
@@ -101,6 +102,14 @@ class TestTrees:
         assert leaf_partition(comb)[-2:] == [1 - Fraction(1, 2 ** (n - 1)), Fraction(1)]
 
 
+def assert_reduced_tables(g: FElement) -> None:
+    """The carried tables agree with the wiring, and no vertex anchors a
+    redex (scanned with ``_redex_at``, not read off the flag)."""
+    d = g.rep
+    check_tables(d)
+    assert all(diagrams._redex_at(v, d._kind, d._down) is None for v in d._kind)
+
+
 class TestGroupOps:
     def test_identity_behaviour(self):
         e = FElement.identity()
@@ -146,9 +155,17 @@ class TestGroupOps:
 
     def test_from_word_matches_left_fold_reference(self):
         r = rng(5)
-        for _ in range(200):
+        for k in range(300):
             w = random_f_word(r, 40)
-            assert from_word(w) == left_fold_from_word(w), w
+            g = from_word(w)
+            assert g == left_fold_from_word(w), w
+            # the concatenated letter words, reduced from every vertex
+            events = tuple(e for ch in w for e in from_word(ch).rep.to_slices().events)
+            assert encode_word(g.rep.to_slices()) == encode_word(
+                reduce(from_slices(SliceWord(1, events))).to_slices())
+            assert_reduced_tables(g)
+            spaced = " ".join(w) if k % 2 else "\n".join(w)
+            assert from_word(spaced) == g and from_word(iter(w)) == g
 
     def test_from_word_skips_whitespace_and_takes_iterables(self):
         assert from_word(" a B\nA ") == from_word("aBA")
@@ -159,16 +176,17 @@ class TestGroupOps:
         assert g.rep.vertex_count == 2002
         assert g == X0 ** 1000
 
-    @pytest.mark.parametrize("k", range(-5, 6))
+    @pytest.mark.parametrize("k", [*range(-5, 6), 50, -50])
     def test_power_matches_repeated_product(self, k):
         r = rng(40 + k)
-        for _ in range(10):
-            g = from_word(random_f_word(r, 10))
+        for g in [FElement.identity(), X0, X1] + [from_word(random_f_word(r, 10)) for _ in range(10)]:
             step = g if k >= 0 else ~g
             expected = FElement.identity()
             for _ in range(abs(k)):
                 expected = expected * step
-            assert g ** k == expected
+            p = g ** k
+            assert p == expected
+            assert_reduced_tables(p)
 
 
 class TestTreePairs:
@@ -344,6 +362,41 @@ class TestFreshDiagramsReduceInPlace:
         assert p == from_word("abA" * 7)
 
 
+def seeds_of(monkeypatch, fn):
+    """The seed counts ``thompson`` hands ``_reduce_maps`` while ``fn`` runs."""
+    seen = []
+    real = thompson._reduce_maps
+
+    def spy(d, rng, seeds=None):
+        seen.append(None if seeds is None else len(seeds))
+        return real(d, rng, seeds)
+
+    monkeypatch.setattr(thompson, "_reduce_maps", spy)
+    result = fn()
+    monkeypatch.undo()
+    return seen, result
+
+
+class TestStackedLetters:
+    """``from_word`` and ``g ** k`` stack reduced (1,1) diagrams and seed
+    the reduction with one anchor per seam."""
+
+    def test_from_word_seeds_one_anchor_per_seam(self, monkeypatch):
+        r = rng(1510)
+        for w in ["", "a", "aA", " a\tB "] + [random_f_word(r, 40) for _ in range(100)]:
+            letters = len(w.replace(" ", "").replace("\t", ""))
+            seen, _ = seeds_of(monkeypatch, lambda: from_word(w))
+            assert seen == [max(letters - 1, 0)], w
+
+    @pytest.mark.parametrize("k", [0, 1, -1, 2, -2, 50, -50])
+    def test_power_seeds_one_anchor_per_seam(self, monkeypatch, k):
+        g = from_word("abA")
+        seen, _ = seeds_of(monkeypatch, lambda: g ** k)
+        assert seen == [max(abs(k) - 1, 0)]
+        seen, p = seeds_of(monkeypatch, lambda: FElement.identity() ** k)
+        assert seen == [0] and p.is_identity
+
+
 class TestPLMaps:
     def test_identity_eval(self):
         assert pl_eval(PLMap.identity(), Fraction(3, 8)) == Fraction(3, 8)
@@ -444,6 +497,10 @@ def perturbed_points(r) -> tuple:
     return tuple(pts)
 
 
+NON_RATIONAL_POINTS = [((0.0, 0.0), (1.0, 1.0)), ((0, 0), (0.5, 0.5), (1, 1)),
+                       (("0", "0"), ("1", "1")), ((0, 0), (1, "1"))]
+
+
 class TestPLValidation:
     """``PLMap`` and ``PLMap.from_points`` reject what the Fraction
     validator kept in ``tests/helpers.py`` rejects, with its message."""
@@ -471,11 +528,18 @@ class TestPLValidation:
                         build(pts)
         assert 300 < rejected < 1000
 
-    @pytest.mark.parametrize("pts", [((0.0, 0.0), (1.0, 1.0)), ((0, 0), (0.5, 0.5), (1, 1)),
-                                     (("0", "0"), ("1", "1")), ((0, 0), (1, "1"))])
+    @pytest.mark.parametrize("pts", NON_RATIONAL_POINTS)
     def test_non_rational_coordinates_raise(self, pts):
         with pytest.raises(DomainError, match="not rational"):
             PLMap(pts)
+
+    @pytest.mark.parametrize("pts", NON_RATIONAL_POINTS + [((0.0, 0.0), ("1", 1))])
+    def test_from_points_rejects_non_rational_like_init(self, pts):
+        with pytest.raises(DomainError, match="not rational") as by_init:
+            PLMap(pts)
+        with pytest.raises(DomainError, match="not rational") as by_points:
+            PLMap.from_points(pts)
+        assert str(by_points.value) == str(by_init.value)
 
     def test_library_maps_failing_the_check_are_bugs(self):
         with pytest.raises(InvariantViolation, match="power of two"):
@@ -500,13 +564,15 @@ def with_collinear_points(r, pts: tuple) -> tuple:
 
 
 class TestCanonicalEquality:
-    """``pl_eq`` compares canonical numerators, so breakpoints given to
-    ``PLMap(...)`` with collinear extras still compare equal."""
+    """``==``, ``hash`` and ``pl_eq`` go through canonical numerators, so
+    breakpoints given to ``PLMap(...)`` with collinear extras still
+    compare equal."""
 
     def test_collinear_midpoint_of_the_identity(self):
         m = PLMap(((0, 0), (F(1, 2), F(1, 2)), (1, 1)))
         assert m.points == ((0, 0), (F(1, 2), F(1, 2)), (1, 1))
         assert pl_eq(m, PLMap.identity()) and pl_eq(PLMap.identity(), m)
+        assert m == PLMap.identity() and hash(m) == hash(PLMap.identity())
 
     def test_collinear_variants_of_seeded_maps(self):
         r = rng(1401)
@@ -516,6 +582,7 @@ class TestCanonicalEquality:
             v = PLMap(pts)
             assert v.points == pts
             assert pl_eq(v, m) and pl_eq(v, PLMap.from_points(pts))
+            assert v == m == PLMap.from_points(pts) and hash(v) == hash(m)
             assert v._num == m._num
             assert [pl_eval(v, x) for x, _ in pts] == [pl_eval(m, x) for x, _ in pts]
             assert pl_eq(pl_inverse(v), pl_inverse(m))
@@ -534,6 +601,8 @@ class TestCanonicalEquality:
                 u = random_f_word(r, 8)
             pa, pb = to_pl(from_word(w)), to_pl(from_word(u))
             assert pl_eq(pa, pb) == (pa.points == pb.points)
+            assert (pa == pb) == pl_eq(pa, pb) == (from_word(w) == from_word(u))
+            assert pa != pb or hash(pa) == hash(pb)
             equal += pl_eq(pa, pb)
         assert 150 <= equal < 300
 
