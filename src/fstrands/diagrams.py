@@ -8,10 +8,10 @@ event sequences), normalized up to isotopy by a greedy leftmost
 linearization, and reduced by cancelling merge-then-split and
 split-then-merge pairs.  Reduction is confluent, so every diagram has
 one reduced form whatever order the redexes fire in; a single worklist
-of candidate anchors does the rewriting, and a product of two reduced
-factors only seeds it at the seam.  Reduced diagrams multiply by
-stacking, forming a groupoid graded by boundary arity; its (1,1)
-component is Thompson's group F.
+of candidate anchors does the rewriting, and a stack of reduced factors
+only seeds it at the seams.  Reduced diagrams multiply by stacking,
+forming a groupoid graded by boundary arity; its (1,1) component is
+Thompson's group F.
 
 Vertices never have degree 4: a merge stacked directly onto a split is
 cancelled on the spot, so the stored vertex taxonomy is exactly
@@ -19,11 +19,13 @@ cancelled on the spot, so the stored vertex taxonomy is exactly
 
 Endpoints are plain ints (see the comment above :func:`from_slices`), and a
 diagram carries its wiring, the inverse wiring, the feeder of each sink
-and a bound on its vertex ids.  Reduction edits these tables in place,
-and ``multiply`` copies ``a``'s tables whole and shifts ``b``'s vertex
-ids past ``a``'s bound instead of renumbering either factor.  So a
-product of reduced factors costs a C-speed copy of ``a``, Python work
-in the size of ``b``, and one unit per reduction step.
+and a bound on its vertex ids.  Reduction edits these tables in place.
+One stacking routine, behind ``multiply`` and the words and powers of
+``thompson``, copies the first factor's tables whole and shifts each
+later factor's vertex ids past the bound above it instead of
+renumbering any factor.  So a product of reduced factors costs a
+C-speed copy of the first, Python work in the size of the others, and
+one unit per reduction step.
 
 A row of components (edges, split carets and merge carets, as in an
 elementary forest) is stacked by ``multiply_row`` straight onto a copy
@@ -139,21 +141,24 @@ def from_slices(word: SliceWord) -> "StrandDiagram":
     return StrandDiagram(word.sources, len(cs), kind, down, up, cs, len(word.events))
 
 
-def _greedy_raw(m: int, kind: dict, down: dict, up: dict) -> list[Event]:
+def _greedy_raw(d: "StrandDiagram") -> list[Event]:
     """Greedy leftmost linearization of a wiring.
 
     Repeatedly emits the ready vertex (all inputs already current) whose
     leftmost strand index is smallest.  Deterministic on the abstract
     planar structure, so isotopic diagrams produce identical words.
+    A bad wiring raises ``InvariantViolation`` naming the diagram.
     """
-    cs = [~k for k in range(m)]
+    kind, down, up = d._kind, d._down, d._up
+    cs = [~k for k in range(d.m)]
     done = set()
     events: list[Event] = []
     remaining = len(kind)
     i = 0
     while remaining:
         if i >= len(cs):
-            raise InvariantViolation("no ready vertex found; wiring is not planar-acyclic")
+            raise InvariantViolation(
+                f"no ready vertex found; wiring is not planar-acyclic in {d!r}")
         t = down[cs[i]]
         if t < 0:
             i += 1
@@ -172,7 +177,7 @@ def _greedy_raw(m: int, kind: dict, down: dict, up: dict) -> list[Event]:
                 i += 1
                 continue
             if i + 1 >= len(cs) or cs[i + 1] != p:
-                raise InvariantViolation("merge inputs are live but not adjacent")
+                raise InvariantViolation(f"merge inputs are live but not adjacent in {d!r}")
             events.append((MERGE, i + 1))
             cs[i:i + 2] = (t,)
         done.add(v)
@@ -181,7 +186,7 @@ def _greedy_raw(m: int, kind: dict, down: dict, up: dict) -> list[Event]:
             i -= 1
     for k, e in enumerate(cs):
         if down[e] != ~k:
-            raise InvariantViolation("bottom stubs out of order")
+            raise InvariantViolation(f"bottom stubs out of order in {d!r}")
     return events
 
 
@@ -264,7 +269,8 @@ def _reduce_maps(d: "StrandDiagram", rng: Optional[random.Random],
             if a >= 0:
                 push(a >> 1)
     if 2 * steps > nv0:
-        raise InvariantViolation("reduction performed more steps than vertices allow")
+        raise InvariantViolation("reduction performed more steps than vertices allow "
+                                 f"in StrandDiagram({d.m}->{d.n}, {nv0} vertices)")
     d._reduced = True
     return d
 
@@ -298,7 +304,7 @@ class StrandDiagram:
 
     def to_slices(self) -> SliceWord:
         if self._word is None:
-            events = _greedy_raw(self.m, self._kind, self._down, self._up)
+            events = _greedy_raw(self)
             self._word = SliceWord(self.m, tuple(events))
         return self._word
 
@@ -375,45 +381,58 @@ def reduce(d: StrandDiagram, rng: Optional[random.Random] = None) -> StrandDiagr
                                       dict(d._up), list(d._bot), d._slots), rng)
 
 
-def multiply(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
-    """Stack ``a`` on top of ``b`` and return the reduced representative.
+def _stack(factors: Iterable[StrandDiagram]) -> StrandDiagram:
+    """One or more diagrams stacked top to bottom, reduced once.
 
-    ``a``'s tables are copied whole; ``b``'s vertex ids are shifted past
-    ``a._slots`` and its top stubs are joined to the feeders of ``a``'s
-    sinks.  A redex of the stack lies in ``a``, in ``b`` or across the
-    seam, where its anchor feeds a sink of ``a`` that meets a vertex of
-    ``b``.  So those feeders seed the reduction, plus every vertex of a
-    factor not known to be reduced.
+    The first factor's tables are copied whole.  Each later factor's
+    vertex ids are shifted past the bound of the stack above it, and its
+    top stubs are joined to the feeders of the running sinks.  A redex
+    of the stack lies in one factor or across a seam, where its anchor
+    feeds a sink above the seam that meets a vertex below it.  So those
+    feeders seed the reduction, plus every vertex of a factor not known
+    to be reduced.
     """
-    if a.n != b.m:
-        raise CompositionError(
-            f"cannot stack: left factor has {a.n} sinks, right factor has {b.m} sources"
-        )
-    s = a._slots
-    s2 = 2 * s
-    abot = a._bot
+    factors = iter(factors)
+    a = next(factors)
     kind = dict(a._kind)
     down = dict(a._down)
     up = dict(a._up)
+    bot = list(a._bot)
+    s = a._slots
     seeds = [] if a._reduced else list(kind)
-    for v, k in b._kind.items():
-        kind[v + s] = k
-    if not b._reduced:
-        seeds.extend(v + s for v in b._kind)
-    for e, t in b._down.items():
-        if e < 0:
-            e = abot[~e]
-            if t >= 0 and e >= 0:
-                seeds.append(e >> 1)
-        else:
-            e += s2
-        if t >= 0:
-            t += s2
-            up[t] = e
-        down[e] = t
-    bot = [e + s2 if e >= 0 else abot[~e] for e in b._bot]
-    d = StrandDiagram(a.m, b.n, kind, down, up, bot, s + b._slots)
-    return _reduce_maps(d, None, seeds)
+    for b in factors:
+        if len(bot) != b.m:
+            raise CompositionError(
+                f"cannot stack: left factor has {len(bot)} sinks, right factor has {b.m} sources"
+            )
+        s2 = 2 * s
+        for v, k in b._kind.items():
+            kind[v + s] = k
+        if not b._reduced:
+            seeds.extend(v + s for v in b._kind)
+        for e, t in b._down.items():
+            if e < 0:
+                e = bot[~e]
+                if t >= 0 and e >= 0:
+                    seeds.append(e >> 1)
+            else:
+                e += s2
+            if t >= 0:
+                t += s2
+                up[t] = e
+            down[e] = t
+        # a loop, not a comprehension: most factors have one or two sinks
+        below = []
+        for e in b._bot:
+            below.append(e + s2 if e >= 0 else bot[~e])
+        bot = below
+        s += b._slots
+    return _reduce_maps(StrandDiagram(a.m, len(bot), kind, down, up, bot, s), None, seeds)
+
+
+def multiply(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
+    """Stack ``a`` on top of ``b`` and return the reduced representative."""
+    return _stack((a, b))
 
 
 def multiply_row(a: StrandDiagram, kinds: Sequence[str]) -> StrandDiagram:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
 from numbers import Rational
 from operator import itemgetter
@@ -35,7 +35,7 @@ from .diagrams import (
     invert,
     multiply,
     reduce,
-    _reduce_maps,
+    _stack,
 )
 from .errors import DomainError, InvariantViolation
 
@@ -84,36 +84,46 @@ def tree_diagram(t: Tree) -> StrandDiagram:
     return from_slices(SliceWord(1, tuple(tree_splits(t))))
 
 
-def diagram_tree(d: StrandDiagram) -> Tree:
-    """The split tree of the reduced form of a (1,n) diagram, in one walk.
+def _tree(d: StrandDiagram, table: dict, root: int, node: str) -> Tree:
+    """The tree of the ``node`` vertices of a reduced diagram, in one walk.
 
     A merge feeding a split is a redex, so in a reduced diagram only
-    merges lie below a merge and the splits form the domain tree of the
-    reduced tree pair, hanging from the source.  Walking down from stub
-    ``~0``, a split's out-ports are its children; any other target (a
-    merge port or a sink stub) is a leaf."""
-    if d.m != 1:
-        raise DomainError("expected a (1,n) diagram")
-    d = reduce(d)
-    kind, down = d._kind, d._down
+    merges lie below a merge: the splits form the domain tree of the
+    reduced tree pair, hanging from the source, and the merges form the
+    range tree, hanging from the sink.  The split tree walks ``_down``
+    from ``down[~0]``; a split at in-port 2v has children ``down[2v]``
+    and ``down[2v+1]``.  The merge tree walks ``_up`` from ``_bot[0]``;
+    a merge at out-port 2v has children ``up[2v]`` and ``up[2v+1]``.  Any
+    other endpoint is a leaf."""
+    kind = d._kind
     # Post-order on an explicit stack, as in :func:`common_refinement`.
     out: list[Tree] = []
     leaves = 0
-    stack: list = [down[~0]]
+    stack: list = [root]
     while stack:
         e = stack.pop()
         if e is None:
             right = out.pop()
             out[-1] = (out[-1], right)
-        elif e >= 0 and kind[e >> 1] == SPLIT:
-            stack += (None, down[e + 1], down[e])
+        elif e >= 0 and kind[e >> 1] == node:
+            stack += (None, table[e + 1], table[e])
         else:
             out.append(())
             leaves += 1
-    if leaves != d.split_count + 1:
-        raise InvariantViolation(f"split tree has {leaves} leaves, reduced diagram "
-                                 f"{encode_word(d.to_slices())} has {d.split_count} splits")
+    count = list(kind.values()).count(node)
+    if leaves != count + 1:
+        name = "split" if node == SPLIT else "merge"
+        raise InvariantViolation(f"{name} tree has {leaves} leaves, reduced diagram "
+                                 f"{encode_word(d.to_slices())} has {count} {name}s")
     return out[0]
+
+
+def diagram_tree(d: StrandDiagram) -> Tree:
+    """The split tree of the reduced form of a (1,n) diagram, in one walk."""
+    if d.m != 1:
+        raise DomainError("expected a (1,n) diagram")
+    d = reduce(d)
+    return _tree(d, d._down, d._down[~0], SPLIT)
 
 
 def common_refinement(a: Tree, b: Tree) -> Tree:
@@ -183,7 +193,7 @@ class FElement:
         """|k| stacked copies of the element (of its inverse when k < 0),
         reduced once."""
         g = self if k >= 0 else ~self
-        return _stack(repeat(g.rep, abs(k)))
+        return FElement(_stack(chain((_ONE,), repeat(g.rep, abs(k)))))
 
     def __eq__(self, other: object):
         if not isinstance(other, FElement):
@@ -197,51 +207,12 @@ class FElement:
         return f"FElement({self.rep.to_slices().events})"
 
 
-def _stack(reps: Iterable[StrandDiagram]) -> FElement:
-    """The product of reduced (1,1) diagrams, top to bottom, reduced once.
-
-    Each factor's tables are copied with its vertex ids shifted past the
-    factors above it, and its source is joined to the feeder of the
-    running sink.  Every factor is reduced and one strand crosses each
-    seam, so the redexes of the stack are at the seams, anchored at the
-    vertex feeding each one: those feeders are the only seeds.  Identity
-    factors are skipped.
-    """
-    kind: dict = {}
-    down: dict = {~0: ~0}
-    up: dict = {}
-    feeder = ~0  # the out-endpoint feeding the running sink
-    s = 0
-    seeds: list[int] = []
-    for f in reps:
-        if not f._kind:
-            continue
-        s2 = 2 * s
-        for v, k in f._kind.items():
-            kind[v + s] = k
-        for e, t in f._down.items():
-            if e < 0:
-                e = feeder
-                if e >= 0:
-                    seeds.append(e >> 1)
-            else:
-                e += s2
-            if t >= 0:
-                t += s2
-                up[t] = e
-            down[e] = t  # a sink edge is rewired by the next factor
-        feeder = f._bot[0] + s2
-        s += f._slots
-    return FElement(_reduce_maps(StrandDiagram(1, 1, kind, down, up, [feeder], s), None, seeds))
-
-
 def tree_pair_to_diagram(p: TreePair) -> FElement:
-    """Splits of the domain tree stacked over merges of the range tree.
-    Nothing else holds the fresh diagram, so it is reduced in place
-    rather than copied by ``reduce``."""
+    """The element whose diagram is the splits of the domain tree stacked
+    over the reflected splits of the range tree, reduced."""
     down = tree_splits(p.domain)
     up = [(MERGE if t == SPLIT else SPLIT, i) for t, i in reversed(tree_splits(p.range))]
-    return FElement(_reduce_maps(from_slices(SliceWord(1, tuple(down + up))), None))
+    return FElement(from_slices(SliceWord(1, tuple(down + up))))
 
 
 def merge_free_form(d: StrandDiagram) -> tuple[StrandDiagram, int]:
@@ -263,9 +234,10 @@ def merge_free_form(d: StrandDiagram) -> tuple[StrandDiagram, int]:
 
 
 def diagram_to_tree_pair(a: FElement) -> TreePair:
-    """The reduced tree pair of ``a``: the split trees of ``a`` and of its
-    reflection, whose splits are the merges of ``a``."""
-    return TreePair(diagram_tree(a.rep), diagram_tree(invert(a.rep)))
+    """The reduced tree pair of ``a``: its split tree read down from the
+    source and its merge tree read up from the sink, with no copy."""
+    d = a.rep
+    return TreePair(_tree(d, d._down, d._down[~0], SPLIT), _tree(d, d._up, d._bot[0], MERGE))
 
 
 # Standard generators as tree pairs exchanging a left and a right caret;
@@ -281,6 +253,9 @@ _X1_PAIR = TreePair(
 X0 = tree_pair_to_diagram(_X0_PAIR)
 X1 = tree_pair_to_diagram(_X1_PAIR)
 
+#: The first factor of every stack of letters and powers, so that an
+#: empty stack is the identity.
+_ONE = identity(1)
 _LETTERS = {
     "a": X0,
     "A": ~X0,
@@ -295,7 +270,7 @@ def from_word(letters: Union[str, Iterable[str]]) -> FElement:
     the seams; reduced forms are unique, so this equals the product taken
     one letter at a time, in time linear in the word.
     """
-    reps: list[StrandDiagram] = []
+    reps = [_ONE]
     for ch in letters:
         if ch.isspace():
             continue
@@ -303,7 +278,7 @@ def from_word(letters: Union[str, Iterable[str]]) -> FElement:
             reps.append(_LETTERS[ch].rep)
         except KeyError:
             raise DomainError(f"unknown generator letter {ch!r}") from None
-    return _stack(reps)
+    return FElement(_stack(reps))
 
 
 # ---------------------------------------------------------------------------
@@ -503,19 +478,6 @@ def pl_compose(m1: PLMap, m2: PLMap) -> PLMap:
 def pl_eq(m1: PLMap, m2: PLMap) -> bool:
     """Equality of the maps, whatever collinear points ``points`` holds."""
     return m1 == m2
-
-
-def leaf_partition(t: Tree) -> list[Fraction]:
-    """Dyadic partition points of [0,1] cut by the leaves of ``t``."""
-    depths = _leaf_depths(t)
-    e = max(depths)
-    den = 1 << e
-    out = [Fraction(0)]
-    x = 0
-    for d in depths:
-        x += 1 << (e - d)
-        out.append(Fraction(x, den))
-    return out
 
 
 def tree_pair_pl(p: TreePair) -> PLMap:

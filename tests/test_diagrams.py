@@ -280,6 +280,52 @@ class TestMultiply:
             assert equivalent(multiply(a, identity(a.n)), a)
 
 
+def random_chain(r, length):
+    """``length`` composable diagrams of mixed arity, each raw or reduced,
+    with identity factors among them."""
+    chain = []
+    m = r.randint(1, 4)
+    for _ in range(length):
+        if r.random() < 0.2:
+            d = identity(m)
+        else:
+            d = random_diagram(r, m=m, max_events=10)
+            if r.random() < 0.5:
+                d = reduce(d)
+        chain.append(d)
+        m = d.n
+    return chain
+
+
+class TestStack:
+    """``diagrams._stack`` stacks a chain of factors and reduces it once."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_chain_equals_left_fold_of_multiply(self, seed):
+        r = rng(7700 + seed)
+        chain = random_chain(r, r.randint(3, 6))
+        fold = chain[0]
+        for d in chain[1:]:
+            fold = multiply(fold, d)
+        tables = [(dict(d._kind), dict(d._down), dict(d._up), list(d._bot)) for d in chain]
+        p = diagrams._stack(chain)
+        check_tables(p)
+        assert (p.m, p.n) == (chain[0].m, chain[-1].n)
+        assert p.to_slices() == fold.to_slices()
+        assert is_reduced(from_slices(p.to_slices()))
+        # the factors are copied, never edited
+        assert tables == [(d._kind, d._down, d._up, d._bot) for d in chain]
+
+    def test_mismatched_third_factor_raises(self):
+        r = rng(7760)
+        for _ in range(30):
+            a, b = random_chain(r, 2)
+            c = random_diagram(r, m=b.n + r.randint(1, 3), max_events=6)
+            with pytest.raises(CompositionError,
+                               match=f"{b.n} sinks, right factor has {c.m} sources"):
+                diagrams._stack([a, b, c])
+
+
 class TestEquality:
     def test_vertex_counts_apart_compare_unequal_without_linearizing(self):
         r = rng(7500)
@@ -511,19 +557,22 @@ class TestWiringChecks:
 
     def test_bottom_stubs_out_of_order(self):
         d = StrandDiagram(2, 2, {}, {~0: ~1, ~1: ~0}, {}, [~1, ~0], 0)
-        with pytest.raises(InvariantViolation, match="out of order"):
+        with pytest.raises(InvariantViolation,
+                           match=r"out of order in StrandDiagram\(2->2, 0 vertices\)"):
             d.to_slices()
 
     def test_merge_inputs_not_adjacent(self):
         # stubs 0 and 2 merge while stub 1 runs straight through
         d = StrandDiagram(3, 2, {0: MERGE}, {~0: 0, ~2: 1, ~1: ~0, 0: ~1},
                           {0: ~0, 1: ~2}, [~1, 0], 1)
-        with pytest.raises(InvariantViolation, match="not adjacent"):
+        with pytest.raises(InvariantViolation,
+                           match=r"not adjacent in StrandDiagram\(3->2, 1 vertices\)"):
             d.to_slices()
 
     def test_cycle_has_no_ready_vertex(self):
         # a merge fed by a split that the merge itself feeds
         d = StrandDiagram(1, 1, {0: MERGE, 1: SPLIT}, {~0: 0, 2: 1, 0: 2, 3: ~0},
                           {0: ~0, 1: 2, 2: 0}, [3], 2)
-        with pytest.raises(InvariantViolation, match="no ready vertex"):
+        with pytest.raises(InvariantViolation,
+                           match=r"no ready vertex.* in StrandDiagram\(1->1, 2 vertices\)"):
             d.to_slices()

@@ -21,7 +21,6 @@ from fstrands.thompson import (
     diagram_tree,
     from_word,
     leaf_count,
-    leaf_partition,
     merge_free_form,
     pl_compose,
     pl_eq,
@@ -43,7 +42,6 @@ from helpers import (
     random_vertex_diagram,
     reference_canonical_points,
     reference_diagram_tree,
-    reference_leaf_partition,
     reference_pl_check,
     reference_pl_compose,
     reference_pl_eval,
@@ -99,7 +97,6 @@ class TestTrees:
         assert splits == [("S", i) for i in range(1, n)]
         assert leaf_count(diagram_tree(tree_diagram(comb))) == n
         assert leaf_count(common_refinement(comb, (L, L))) == n
-        assert leaf_partition(comb)[-2:] == [1 - Fraction(1, 2 ** (n - 1)), Fraction(1)]
 
 
 def assert_reduced_tables(g: FElement) -> None:
@@ -331,6 +328,24 @@ class TestTreeWalker:
             upper_bound(x, y)
         assert calls == []
 
+    def test_to_pl_and_tree_pair_never_invert(self, monkeypatch):
+        calls = []
+        real = diagrams.invert
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        r = rng(85)
+        words = [from_word(random_f_word(r, 20)) for _ in range(30)] + [from_word("ab" * 50)]
+        pairs = [reference_tree_pair(g) for g in words]
+        for mod in (diagrams, thompson):
+            monkeypatch.setattr(mod, "invert", spy)
+        for g, pair in zip(words, pairs):
+            to_pl(g)
+            assert diagram_to_tree_pair(g) == pair
+        assert calls == []
+
 
 class TestFreshDiagramsReduceInPlace:
     @staticmethod
@@ -363,15 +378,15 @@ class TestFreshDiagramsReduceInPlace:
 
 
 def seeds_of(monkeypatch, fn):
-    """The seed counts ``thompson`` hands ``_reduce_maps`` while ``fn`` runs."""
+    """The seed counts handed to ``_reduce_maps`` while ``fn`` runs."""
     seen = []
-    real = thompson._reduce_maps
+    real = diagrams._reduce_maps
 
     def spy(d, rng, seeds=None):
         seen.append(None if seeds is None else len(seeds))
         return real(d, rng, seeds)
 
-    monkeypatch.setattr(thompson, "_reduce_maps", spy)
+    monkeypatch.setattr(diagrams, "_reduce_maps", spy)
     result = fn()
     monkeypatch.undo()
     return seen, result
@@ -445,14 +460,6 @@ class TestPLMaps:
             a = from_word(random_f_word(r, 6))
             b = from_word(random_f_word(r, 6))
             assert pl_eq(to_pl(a * b), pl_compose(to_pl(a), to_pl(b)))
-
-    def test_leaf_partition(self):
-        assert leaf_partition((L, (L, L))) == [
-            Fraction(0),
-            Fraction(1, 2),
-            Fraction(3, 4),
-            Fraction(1),
-        ]
 
     def test_validation_rejects_non_dyadic_breakpoints(self):
         with pytest.raises(DomainError, match="dyadic"):
@@ -625,7 +632,7 @@ def assert_exact(m: PLMap) -> None:
 
 
 class TestIntegerPLMatchesReference:
-    """``to_pl``, ``pl_compose`` and ``leaf_partition`` on int numerators
+    """``to_pl`` and ``pl_compose`` on int numerators
     give the points of the Fraction reference in ``tests/helpers.py``."""
 
     def test_random_words(self):
@@ -636,7 +643,6 @@ class TestIntegerPLMatchesReference:
             pair = diagram_to_tree_pair(a)
             pa, pb = to_pl(a), to_pl(b)
             assert pa.points == reference_tree_pair_pl(pair).points
-            assert leaf_partition(pair.range) == reference_leaf_partition(pair.range)
             ab = pl_compose(pa, pb)
             assert ab.points == reference_pl_compose(pa, pb).points == to_pl(a * b).points
             assert_exact(ab)
@@ -668,8 +674,6 @@ class TestIntegerPLMatchesReference:
         right = left = L
         for _ in range(n - 1):
             right, left = (L, right), (left, L)
-        assert leaf_partition(right) == reference_leaf_partition(right)
-        assert leaf_partition(left) == reference_leaf_partition(left)
         maps = []
         for pair in (TreePair(right, left), TreePair(left, right)):
             m = tree_pair_pl(pair)
