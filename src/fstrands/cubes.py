@@ -273,7 +273,8 @@ class BallGraph:
     """The 1-skeleton near a vertex: labelled vertices and oriented edges.
 
     Edges run (coarser, finer): the second vertex refines the first by a
-    single split.  In quotient mode labels are orbit-key strings.
+    single split.  In quotient mode labels are orbit-key strings, and
+    ``by_label`` holds the root only.
     """
 
     root: str
@@ -316,16 +317,22 @@ def forest_count(n: int, max_carets: int) -> int:
 
 def ball(v: ComplexVertex, radius: int, quotient: bool = False,
          cap: int = CAP) -> BallGraph:
-    """Breadth-first closure of single-caret moves out to ``radius``."""
+    """Breadth-first closure of single-caret moves out to ``radius``, refused
+    past ``max(cap, 1)`` vertices.  The quotient ball is the path on strand
+    counts (F is transitive on each), refused past ``CAP`` label strands."""
     if radius < 0:
         raise DomainError("radius must be nonnegative")
-
-    def name(x: ComplexVertex) -> str:
-        if quotient:
-            return str(orbit_key(GeneralizedStrandDiagram.vertex(x.diagram)))
-        return x.label()
-
-    start = name(v)
+    if quotient:
+        lo, hi = max(1, v.n - radius), v.n + radius
+        if hi - lo + 1 > max(cap, 1):
+            raise DomainError(f"ball exceeded the vertex cap ({cap})")
+        if (lo + hi) * (hi - lo + 1) // 2 > CAP:  # the labels spell lo + ... + hi strands
+            raise DomainError(f"quotient ball labels of more than {CAP} strands")
+        names = [str(OrbitKey((EDGE,) * c, c)) for c in range(lo, hi + 1)]
+        root = names[v.n - lo]
+        return BallGraph(root, tuple(sorted(names)), tuple(sorted(zip(names, names[1:]))),
+                         {root: v})
+    start = v.label()
     by_label: dict[str, ComplexVertex] = {start: v}
     dist = {start: 0}
     edges: set[tuple[str, str]] = set()
@@ -336,7 +343,7 @@ def ball(v: ComplexVertex, radius: int, quotient: bool = False,
         if dx == radius:
             continue
         for direction, y in _vertex_neighbors(x):
-            ny = name(y)
+            ny = y.label()
             edges.add((nx, ny) if direction == "up" else (ny, nx))
             if ny not in dist:
                 if len(dist) >= cap:

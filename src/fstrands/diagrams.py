@@ -7,9 +7,9 @@ strands into one.  Diagrams are described by slice words (time-ordered
 event sequences), normalized up to isotopy by a greedy leftmost
 linearization, and reduced by cancelling merge-then-split and
 split-then-merge pairs.  Reduction is confluent, so every diagram has
-one reduced form whatever order the redexes fire in; a single worklist
-of candidate anchors does the rewriting, and a stack of reduced factors
-only seeds it at the seams.  Reduced diagrams multiply by stacking,
+one reduced form whatever order the redexes fire in; the two rules are
+written once, in ``_reduce_maps``, whose worklist a stack of reduced
+factors only seeds at the seams.  Reduced diagrams multiply by stacking,
 forming a groupoid graded by boundary arity; its (1,1) component is
 Thompson's group F.
 
@@ -190,36 +190,17 @@ def _greedy_raw(d: "StrandDiagram") -> list[Event]:
     return events
 
 
-def _redex_at(u: int, kind: dict, down: dict) -> Optional[tuple[str, int]]:
-    """Identify a reduction redex anchored at vertex u, if any.
-
-    Type "I": u is a merge whose output feeds a split v.
-    Type "II": u is a split whose outputs feed one merge v, left to left
-    and right to right.  :func:`_reduce_maps` inlines the same test.
-    """
-    ku = kind.get(u)
-    if ku is None:
-        return None
-    t = down[2 * u]
-    if t < 0:
-        return None
-    v = t >> 1
-    if ku == MERGE:
-        return ("I", v) if kind[v] == SPLIT else None
-    if kind[v] == MERGE and not t & 1 and down[2 * u + 1] == t + 1:
-        return ("II", v)
-    return None
-
-
 def _reduce_maps(d: "StrandDiagram", rng: Optional[random.Random],
                  seeds: Optional[Iterable[int]] = None) -> "StrandDiagram":
     """Cancel redexes of ``d`` to a fixpoint, editing its tables in place.
 
-    A redex is anchored at its upper vertex, and a rewrite can only
-    create a redex at the source of an edge it adds, so those sources
-    are the only anchors pushed.  ``seeds`` must contain the anchor of
-    every redex present at the start (all vertices when omitted).  With
-    ``rng`` the next anchor is drawn at random from the worklist.
+    The two cancellation rules, each anchored at the upper vertex u of
+    its redex: (I) u is a merge whose output feeds a split v; (II) u is a
+    split whose outputs feed one merge v, left to left and right to right.
+    A rewrite can only create a redex at the source of an edge it adds,
+    so those sources are the only anchors pushed.  ``seeds`` must contain
+    the anchor of every redex present at the start (all vertices when
+    omitted).  With ``rng`` the next anchor is drawn at random.
     """
     kind, down, up, bot = d._kind, d._down, d._up, d._bot
     get = kind.get
@@ -235,7 +216,7 @@ def _reduce_maps(d: "StrandDiagram", rng: Optional[random.Random],
             u = work[idx]
             work[idx] = work[-1]
             pop()
-        # the test of :func:`_redex_at`, inlined; t is v's in-port 0 in a redex
+        # t is the in-port that u's left output feeds, of vertex v
         ku = get(u)
         if ku is None:
             continue
@@ -247,13 +228,13 @@ def _reduce_maps(d: "StrandDiagram", rng: Optional[random.Random],
         if ku == MERGE:
             if kind[v] != SPLIT:
                 continue
-            # merge u over split v: u's inputs take over v's outputs
+            # type I: merge u over split v
             del up[t], down[u0]
             ports = (0, 1)
         else:
             if t & 1 or kind[v] != MERGE or down[u0 + 1] != t + 1:
                 continue
-            # split u into merge v: u's input takes over v's output
+            # type II: split u into merge v
             del up[t], up[t + 1], down[u0], down[u0 + 1]
             ports = (0,)
         del kind[u], kind[v]
@@ -358,27 +339,28 @@ def identity(n: int) -> StrandDiagram:
 
 
 def is_reduced(d: StrandDiagram) -> bool:
-    """True iff no merge-split or split-merge redex exists."""
-    if not d._reduced:
-        # every redex has a split and a merge, so a tree or a co-tree has none
-        kinds = d._kind.values()
-        d._reduced = (MERGE not in kinds or SPLIT not in kinds
-                      or all(_redex_at(v, d._kind, d._down) is None for v in d._kind))
-    return d._reduced
+    """True iff ``d`` has no redex, that is, iff :func:`reduce` returns it."""
+    return reduce(d) is d
 
 
 def reduce(d: StrandDiagram, rng: Optional[random.Random] = None) -> StrandDiagram:
     """Cancel redexes to a fixpoint.
 
-    Reduction is confluent, so the result does not depend on the order
-    in which redexes fire.  With ``rng`` that order is randomized (useful
-    for confluence experiments); otherwise anchors come off a worklist
-    last in, first out.
+    ``d`` itself comes back, flagged, when it has no redex: its flag is
+    set, it lacks a merge or a split, or a reduced copy loses no vertex.
+    Otherwise the copy comes back.  Reduction is confluent, so the
+    result does not depend on the order in which redexes fire; ``rng``
+    randomizes that order (for confluence experiments).
     """
-    if is_reduced(d):
-        return d
-    return _reduce_maps(StrandDiagram(d.m, d.n, dict(d._kind), dict(d._down),
-                                      dict(d._up), list(d._bot), d._slots), rng)
+    if not d._reduced:
+        kinds = d._kind.values()
+        if MERGE in kinds and SPLIT in kinds:
+            r = _reduce_maps(StrandDiagram(d.m, d.n, dict(d._kind), dict(d._down),
+                                           dict(d._up), list(d._bot), d._slots), rng)
+            if len(r._kind) < len(d._kind):
+                return r
+        d._reduced = True
+    return d
 
 
 def _stack(factors: Iterable[StrandDiagram]) -> StrandDiagram:
@@ -509,7 +491,7 @@ def invert(a: StrandDiagram) -> StrandDiagram:
                       {e: t for e, t in down.items() if e >= 0},
                       [down[~k] for k in range(a.m)], a._slots,
                       _reduced=a._reduced)  # reflection maps redexes to redexes
-    return d if is_reduced(d) else _reduce_maps(d, None)
+    return d if d._reduced else _reduce_maps(d, None)
 
 
 def encode_word(w: SliceWord) -> str:

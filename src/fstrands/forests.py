@@ -28,7 +28,6 @@ from .diagrams import (
     MERGE,
     SPLIT,
     StrandDiagram,
-    is_reduced,
     multiply_row,
     reduce,
 )
@@ -156,8 +155,7 @@ class GeneralizedStrandDiagram:
     def __post_init__(self) -> None:
         if self.base.m != 1:
             raise DomainError(f"base must have one source, got {self.base.m}")
-        if not is_reduced(self.base):
-            object.__setattr__(self, "base", reduce(self.base))
+        object.__setattr__(self, "base", reduce(self.base))
         if self.base.n != self.forest.sources:
             raise CompositionError(
                 f"base has {self.base.n} sinks but forest has "

@@ -208,11 +208,9 @@ class FElement:
 
 
 def tree_pair_to_diagram(p: TreePair) -> FElement:
-    """The element whose diagram is the splits of the domain tree stacked
-    over the reflected splits of the range tree, reduced."""
-    down = tree_splits(p.domain)
-    up = [(MERGE if t == SPLIT else SPLIT, i) for t, i in reversed(tree_splits(p.range))]
-    return FElement(from_slices(SliceWord(1, tuple(down + up))))
+    """The element whose diagram is the domain tree's diagram stacked over
+    the reflection (``invert``) of the range tree's, reduced."""
+    return FElement(multiply(tree_diagram(p.domain), invert(tree_diagram(p.range))))
 
 
 def merge_free_form(d: StrandDiagram) -> tuple[StrandDiagram, int]:

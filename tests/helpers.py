@@ -9,6 +9,7 @@ bugs cannot hide behind themselves.
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 
 from fstrands.diagrams import (
@@ -20,7 +21,7 @@ from fstrands.diagrams import (
     from_slices,
     multiply,
 )
-from fstrands.cubes import ComplexVertex, Cube, cube_from_forest
+from fstrands.cubes import ComplexVertex, Cube, cube_from_forest, orbit_key
 from fstrands.errors import DomainError, InvariantViolation
 from fstrands.forests import (
     EDGE,
@@ -424,6 +425,12 @@ def _reference_redex_at(u: int, kind: dict, down: dict):
     return None
 
 
+def reference_is_reduced(word: SliceWord) -> bool:
+    """No vertex of the reference build of ``word`` anchors a redex."""
+    _m, _n, kind, down = reference_build(word)
+    return all(_reference_redex_at(u, kind, down) is None for u in kind)
+
+
 def reference_reduce(ref: tuple) -> tuple:
     """Reduce a copy of a reference diagram from a worklist seeded with
     every vertex, rebuilding the inverse wiring once."""
@@ -635,6 +642,37 @@ def reference_cubes_at(v: ComplexVertex, max_dim: int):
         if key not in seen:
             seen.add(key)
             yield cube
+
+
+def reference_quotient_ball(v: ComplexVertex, radius: int, cap: int) -> tuple:
+    """(root, vertices, edges) of the quotient ball, found by breadth-first
+    search: each vertex inside the radius gets its 2n - 1 single-caret
+    neighbours built with ``multiply`` and named by their orbit keys.  A
+    new vertex found when ``cap`` are known raises ``DomainError``."""
+    def name(x: ComplexVertex) -> str:
+        return str(orbit_key(GeneralizedStrandDiagram.vertex(x.diagram)))
+
+    start = name(v)
+    dist = {start: 0}
+    edges = set()
+    queue = deque([(start, v)])
+    while queue:
+        nx, x = queue.popleft()
+        if dist[nx] == radius:
+            continue
+        n = x.n
+        moves = ([("up", (SPLIT, i)) for i in range(1, n + 1)]
+                 + [("down", (MERGE, i)) for i in range(1, n)])
+        for direction, ev in moves:
+            y = ComplexVertex(multiply(x.diagram, from_slices(SliceWord(n, (ev,)))))
+            ny = name(y)
+            edges.add((nx, ny) if direction == "up" else (ny, nx))
+            if ny not in dist:
+                if len(dist) >= cap:
+                    raise DomainError(f"ball exceeded the vertex cap ({cap})")
+                dist[ny] = dist[nx] + 1
+                queue.append((ny, y))
+    return start, tuple(sorted(dist)), tuple(sorted(edges))
 
 
 def reference_parameterize(cube: Cube, base: ComplexVertex, coords) -> GeneralizedStrandDiagram:

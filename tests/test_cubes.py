@@ -8,6 +8,7 @@ import pytest
 
 from fstrands import cubes, diagrams, forests
 from fstrands.cubes import (
+    CAP,
     ComplexVertex,
     Cube,
     ball,
@@ -54,6 +55,7 @@ from helpers import (
     reference_cubes_at,
     reference_elementary_forests_at,
     reference_parameterize,
+    reference_quotient_ball,
     rng,
     row_slice_word,
 )
@@ -319,13 +321,29 @@ class TestCaretRowsMatchMultiply:
             v = ComplexVertex(random_vertex_diagram(r, 8))
             if v.n == len(starts) - 1 and v.diagram.merge_count:
                 starts.append(v)
-        got = [ball(v, 3, quotient=q) for v in starts for q in (False, True)]
+        got = [ball(v, 3) for v in starts]
         monkeypatch.setattr(cubes, "_vertex_neighbors", _reference_neighbors)
-        want = [ball(v, 3, quotient=q) for v in starts for q in (False, True)]
+        want = [ball(v, 3) for v in starts]
         for g, w in zip(got, want, strict=True):
             assert (g.root, g.vertices, g.edges) == (w.root, w.vertices, w.edges)
             assert all(_tables(g.by_label[k].diagram) == _tables(w.by_label[k].diagram)
                        for k in g.by_label)
+        # the quotient ball is read off strand counts, so it is checked
+        # against the search, refusals at the vertex cap included; labels
+        # from 10 strands on sort before those of 2 to 9
+        for v in starts + [vtx(*[S(1)] * 6)]:
+            for radius in range(5):
+                size = len(reference_quotient_ball(v, radius, CAP)[1])
+                for cap in (0, 1, size - 1, size):
+                    try:
+                        want = reference_quotient_ball(v, radius, cap)
+                    except DomainError:
+                        with pytest.raises(DomainError, match="cap"):
+                            ball(v, radius, quotient=True, cap=cap)
+                        continue
+                    g = ball(v, radius, quotient=True, cap=cap)
+                    assert (g.root, g.vertices, g.edges) == want
+                    assert g.by_label == {g.root: v}
 
     def test_caret_row_consumers_never_multiply(self, monkeypatch):
         calls = []
@@ -574,18 +592,20 @@ class TestBall:
 
     def test_names_each_visit_once(self, monkeypatch):
         calls = []
-        real = cubes.orbit_key
 
-        def spy(p):
-            calls.append(p)
-            return real(p)
+        def spy(real):
+            def counted(*args):
+                calls.append(real.__name__)
+                return real(*args)
+            return counted
 
-        monkeypatch.setattr(cubes, "orbit_key", spy)
+        for name in ("orbit_key", "multiply_row"):
+            monkeypatch.setattr(cubes, name, spy(getattr(cubes, name)))
         g = ball(trivial_vertex(), 4, quotient=True)
         assert len(g.vertices) == 5
-        # the root, then the 2n - 1 neighbours of each vertex inside the
-        # radius, on n = 1, 2, 3, 4 strands
-        assert len(calls) == 1 + 1 + 3 + 5 + 7
+        # each vertex is named once from its strand count: none is built
+        # or canonicalized
+        assert calls == []
 
 
 class TestHolonomy:

@@ -1,5 +1,6 @@
 """Strand diagram construction, linearization, reduction, groupoid ops."""
 
+import copy
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from helpers import (
     random_vertex_diagram,
     reference_build,
     reference_greedy,
+    reference_is_reduced,
     reference_reduce,
     reference_signature,
     reference_stack,
@@ -204,6 +206,45 @@ class TestReduce:
         }
         encs.add(canonical_encoding(reduce(d)))
         assert len(encs) == 1
+
+
+def _tables(d):
+    return d._kind, d._down, d._up, d._bot, d._slots
+
+
+def _raw_words():
+    r = rng(7500)
+    return [random_slice_word(r, max_events=40, m_max=4) for _ in range(500)]
+
+
+class TestIsReducedAsksTheReducer:
+    """``is_reduced`` is ``reduce(d) is d``; the two cancellation rules are
+    checked against the tuple-endpoint reference scan."""
+
+    WORDS = _raw_words()
+
+    def test_agrees_with_the_reference_scan(self):
+        got = [is_reduced(from_slices(w)) for w in self.WORDS]
+        assert got == [reference_is_reduced(w) for w in self.WORDS]
+        assert 0 < sum(got) < len(got)
+
+    def test_reduce_returns_its_input_exactly_when_reduced(self):
+        for w in self.WORDS:
+            d = from_slices(w)
+            assert (reduce(d) is d) == is_reduced(from_slices(w))
+
+    def test_is_reduced_edits_no_reducible_input(self):
+        for w in self.WORDS:
+            d = from_slices(w)
+            before = copy.deepcopy(_tables(d))
+            if not is_reduced(d):
+                assert (_tables(d), d._reduced) == (before, False)
+
+    def test_is_reduced_flags_a_reduced_input(self):
+        for w in self.WORDS:
+            d = from_slices(w)
+            assert not d._reduced
+            assert is_reduced(d) == d._reduced
 
 
 class TestMultiply:

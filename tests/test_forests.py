@@ -10,7 +10,6 @@ from fstrands.diagrams import (
     M,
     S,
     SliceWord,
-    _redex_at,
     equivalent,
     from_slices,
     identity,
@@ -33,6 +32,7 @@ from helpers import (
     random_elementary_forest,
     random_generalized,
     reference_canonicalize_generalized,
+    reference_is_reduced,
     rng,
     row_slice_word,
 )
@@ -70,9 +70,8 @@ class TestElementaryForest:
     def test_forest_diagrams_are_flagged_reduced(self):
         # the flag must agree with a full redex scan of an unflagged copy
         def scanned(word):
-            d = from_slices(word)
-            assert not d._reduced
-            return all(_redex_at(v, d._kind, d._down) is None for v in d._kind)
+            assert not from_slices(word)._reduced
+            return reference_is_reduced(word)
 
         for n in range(1, 7):
             for f in elementary_forests_at(n):

@@ -1,9 +1,13 @@
 """Text formats, renderers, and the command-line front end."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +149,35 @@ class TestRender:
 
 
 DIAGRAM_SM = "diagram 1\nS 1\nM 1\n"
+
+
+class TestMain:
+    """The console-script entry point, run in a fresh interpreter on a real
+    stdin stream, with its exit code raised through ``SystemExit``."""
+
+    @staticmethod
+    def main(argv, stdin):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-c", "from fstrands.cli import main; main()", *argv],
+            input=stdin, capture_output=True, text=True, env=env, timeout=60)
+
+    def test_reduces_stdin(self):
+        proc = self.main(["reduce", "-"], "diagram 1\nS 1\nM 1\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "diagram 1\n", "")
+
+    def test_malformed_file_exits_two(self):
+        proc = self.main(["reduce", "-"], "diagram x\n")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.count("\n") == 1
+
+    def test_negative_radius_exits_one(self):
+        proc = self.main(["ball", "-", "-1"], "diagram 1\n")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("rejected:")
 
 
 class TestCli:
@@ -345,6 +378,21 @@ class TestCli:
         code, out, _ = run(["ball", "-", "1", "--quotient"], "diagram 1\n")
         assert code == 0
         assert out == "1|E -- 2|E.E\n"
+
+    def test_quotient_ball_at_radius_440(self):
+        # labels of 1 + ... + 441 = 97461 strands, within CAP
+        t0 = time.perf_counter()
+        code, out, err = run(["ball", "-", "440", "--quotient"], "diagram 1\n")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, err, len(out.splitlines())) == (0, "", 440)
+
+    def test_quotient_ball_past_the_strand_bound_is_refused(self):
+        # labels of 1 + ... + 447 = 100128 strands, above CAP
+        t0 = time.perf_counter()
+        code, out, err = run(["ball", "-", "446", "--quotient"], "diagram 1\n")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("rejected:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [["upper-bound", "-", "RIGHT"], ["cubes", "-"],
                                       ["ball", "-", "1"]])

@@ -41,6 +41,7 @@ from helpers import (
     random_f_word,
     random_vertex_diagram,
     reference_canonical_points,
+    reference_is_reduced,
     reference_diagram_tree,
     reference_pl_check,
     reference_pl_compose,
@@ -101,10 +102,10 @@ class TestTrees:
 
 def assert_reduced_tables(g: FElement) -> None:
     """The carried tables agree with the wiring, and no vertex anchors a
-    redex (scanned with ``_redex_at``, not read off the flag)."""
+    redex (scanned by ``reference_is_reduced``, not read off the flag)."""
     d = g.rep
     check_tables(d)
-    assert all(diagrams._redex_at(v, d._kind, d._down) is None for v in d._kind)
+    assert reference_is_reduced(d.to_slices())
 
 
 class TestGroupOps:
