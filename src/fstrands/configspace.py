@@ -17,13 +17,17 @@ most 1, short gaps isolated between unit gaps), and a three-step
 deformation (scale by 2, translate, compress long gaps left to right)
 moves every configuration into that image, and on the image is
 homotopic to the identity inside it.  All arithmetic is exact; no
-tolerances appear anywhere in this module.
+tolerances appear anywhere in this module.  Each function scales its
+tuple by the lcm D of the denominators and works on the integer
+numerators over D (the conditions above read xs[i+2] - xs[i] >= D, and
+so on); ``Fraction`` appears only where values enter and leave.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from math import lcm
+from typing import Iterable, Optional, Sequence, Union
 
 from .diagrams import SPLIT, SliceWord, from_slices
 from .errors import DomainError
@@ -42,72 +46,98 @@ def as_config(values: Iterable[Rational]) -> Config:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
-def is_in_cf(t: Sequence[Rational]) -> bool:
-    """Membership test: nondecreasing, with t[i+2] - t[i] >= 1."""
+def _scaled(t: Sequence[Rational],
+            strict: bool = True) -> Optional[tuple[Config, int, list[int]]]:
+    """``t`` as fractions, the lcm ``den`` of their denominators, and the
+    numerators ``xs`` of ``t`` over ``den``.
+
+    ``t`` is a configuration iff ``xs`` decreases nowhere and
+    xs[i+2] - xs[i] >= den.  Otherwise this raises ``DomainError``, or
+    returns None when not ``strict``.
+    """
     t = as_config(t)
     if not t:
         raise DomainError("configurations have at least one entry")
-    if any(a > b for a, b in zip(t, t[1:])):
-        return False
-    return all(t[i + 2] - t[i] >= 1 for i in range(len(t) - 2))
+    den = lcm(*[x.denominator for x in t])
+    xs = [x.numerator * (den // x.denominator) for x in t]
+    if any(a > b for a, b in zip(xs, xs[1:])) or any(c - a < den for a, c in zip(xs, xs[2:])):
+        if strict:
+            raise DomainError(f"{tuple(map(str, t))} is not a configuration")
+        return None
+    return t, den, xs
+
+
+def _time(s: Rational) -> tuple[int, int]:
+    """Numerator and denominator of a time in [0, 1]."""
+    s = Fraction(s)
+    if not 0 <= s <= 1:
+        raise DomainError(f"time {s} outside [0, 1]")
+    return s.numerator, s.denominator
+
+
+def is_in_cf(t: Sequence[Rational]) -> bool:
+    """Membership test: nondecreasing, with t[i+2] - t[i] >= 1."""
+    return _scaled(t, strict=False) is not None
 
 
 def require_cf(t: Sequence[Rational]) -> Config:
-    t = as_config(t)
-    if not is_in_cf(t):
-        raise DomainError(f"{tuple(map(str, t))} is not a configuration")
-    return t
+    return _scaled(t)[0]
+
+
+def _canonical(t: Sequence[Rational]) -> tuple[Config, int, list[int]]:
+    """:func:`_scaled` of a configuration with its duplicates collapsed."""
+    t, den, xs = _scaled(t)
+    keep = [k for k in range(len(xs)) if not k or xs[k] != xs[k - 1]]
+    return tuple(t[k] for k in keep), den, [xs[k] for k in keep]
 
 
 def canonicalize_cf(t: Sequence[Rational]) -> Config:
     """Collapse duplicate entries; the spacing condition makes this legal."""
-    t = require_cf(t)
-    out = [t[0]]
-    for x in t[1:]:
-        if x != out[-1]:
-            out.append(x)
-    return tuple(out)
+    return _canonical(t)[0]
 
 
 def expand(t: Sequence[Rational], i: int) -> Config:
     """Duplicate entry i (1-based); the entry must be a unit away from
     its existing neighbours."""
-    t = require_cf(t)
+    t, den, xs = _scaled(t)
     if not 1 <= i <= len(t):
         raise DomainError(f"index {i} out of range 1..{len(t)}")
-    x = t[i - 1]
-    if i >= 2 and x - t[i - 2] < 1:
-        raise DomainError(f"entry {i} is only {x - t[i - 2]} from its left neighbour")
-    if i <= len(t) - 1 and t[i] - x < 1:
-        raise DomainError(f"entry {i} is only {t[i] - x} from its right neighbour")
-    return t[: i - 1] + (x, x) + t[i:]
+    x = xs[i - 1]
+    if i >= 2 and x - xs[i - 2] < den:
+        raise DomainError(f"entry {i} is only {Fraction(x - xs[i - 2], den)} "
+                          "from its left neighbour")
+    if i <= len(t) - 1 and xs[i] - x < den:
+        raise DomainError(f"entry {i} is only {Fraction(xs[i] - x, den)} "
+                          "from its right neighbour")
+    return t[: i - 1] + (t[i - 1],) * 2 + t[i:]
 
 
 def contract_slice(t: Sequence[Rational], s: Rational) -> Config:
     """Convex slide toward the evenly spaced tuple (1, 2, ..., n)."""
-    t = require_cf(t)
-    s = Fraction(s)
-    if not 0 <= s <= 1:
-        raise DomainError(f"time {s} outside [0, 1]")
-    return tuple((1 - s) * x + s * (k + 1) for k, x in enumerate(t))
+    _, den, xs = _scaled(t)
+    p, q = _time(s)
+    qd = q * den
+    return tuple(Fraction((q - p) * x + p * k * den, qd) for k, x in enumerate(xs, start=1))
 
 
 def config_pairs(g: GeneralizedStrandDiagram) -> list[tuple[str, Fraction, Fraction, Fraction]]:
     """Per-component (kind, weight, left, right) positions of a diagram.
 
     Works on any representative; the positions depend only on the
-    weighted forest row.
+    weighted forest row.  The running sum is kept over the lcm of the
+    weights' denominators.
     """
+    pairs = g.forest.pairs()
+    den = lcm(*[w.denominator for _k, w in pairs if w is not None])
     out = []
-    run = Fraction(0)
-    for idx, (kind, w) in enumerate(g.forest.pairs(), start=1):
-        left = idx + run
+    run = 0
+    for idx, (kind, w) in enumerate(pairs, start=1):
+        left = idx * den + run
         if kind == SPLIT:
-            run += w
+            run += w.numerator * (den // w.denominator)
         elif kind == MERGE:
-            run += 1 - w
-        right = idx + run
-        out.append((kind, w, left, right))
+            run += (w.denominator - w.numerator) * (den // w.denominator)
+        out.append((kind, w, Fraction(left, den), Fraction(idx * den + run, den)))
     return out
 
 
@@ -123,21 +153,22 @@ def config_map(g: GeneralizedStrandDiagram) -> Config:
 def is_in_df(t: Sequence[Rational]) -> bool:
     """Image membership: t[0] = 1, gaps at most 1, and any short gap is
     flanked by unit gaps wherever those flanks exist."""
-    return _in_df(require_cf(t))
+    _, den, xs = _scaled(t)
+    return _in_df(den, xs)
 
 
-def _in_df(t: Config) -> bool:
-    """:func:`is_in_df` of a tuple that ``require_cf`` already checked."""
-    if t[0] != 1:
+def _in_df(den: int, xs: list[int]) -> bool:
+    """:func:`is_in_df` of the numerators over ``den`` of a configuration."""
+    if xs[0] != den:
         return False
-    gaps = [b - a for a, b in zip(t, t[1:])]
+    gaps = [b - a for a, b in zip(xs, xs[1:])]
     for i, gap in enumerate(gaps):
-        if gap > 1:
+        if gap > den:
             return False
-        if gap < 1:
-            if i > 0 and gaps[i - 1] != 1:
+        if gap < den:
+            if i > 0 and gaps[i - 1] != den:
                 return False
-            if i + 1 < len(gaps) and gaps[i + 1] != 1:
+            if i + 1 < len(gaps) and gaps[i + 1] != den:
                 return False
     return True
 
@@ -150,14 +181,14 @@ def df_section(t: Sequence[Rational]) -> GeneralizedStrandDiagram:
     gap closes the current component, and the base is the right comb
     with one leaf per component.
     """
-    t = canonicalize_cf(t)
-    if not _in_df(t):
+    t, den, xs = _canonical(t)
+    if not _in_df(den, xs):
         raise DomainError(f"{tuple(map(str, t))} is not in the image of the complex")
     comps: list[Union[str, tuple[str, Fraction]]] = []
     k = 0
-    while k < len(t):
-        if k + 1 < len(t) and t[k + 1] - t[k] < 1:
-            comps.append((SPLIT, t[k + 1] - t[k]))
+    while k < len(xs):
+        if k + 1 < len(xs) and xs[k + 1] - xs[k] < den:
+            comps.append((SPLIT, Fraction(xs[k + 1] - xs[k], den)))
             k += 2
         else:
             comps.append(EDGE)
@@ -176,14 +207,16 @@ def retract(t: Sequence[Rational]) -> Config:
     ``(1, 2)``), but from an image point t the straight line to
     ``retract(t)`` stays in the image: the first entry stays 1, each gap
     g moves to min(2g, 1), and the unit flanks of short gaps stay 1."""
-    return _compress(require_cf(t))
+    _, den, xs = _scaled(t)
+    return tuple(Fraction(c, den) for c in _compress(den, xs))
 
 
-def _compress(t: Config) -> Config:
-    out = [Fraction(1)]
-    for a, b in zip(t, t[1:]):
-        out.append(out[-1] + min(2 * (b - a), Fraction(1)))
-    return tuple(out)
+def _compress(den: int, xs: list[int]) -> list[int]:
+    """The numerators over ``den`` of :func:`retract` of a configuration."""
+    out = [den]
+    for a, b in zip(xs, xs[1:]):
+        out.append(out[-1] + min(2 * (b - a), den))
+    return out
 
 
 def retract_path(t: Sequence[Rational], s: Rational) -> Config:
@@ -192,20 +225,17 @@ def retract_path(t: Sequence[Rational], s: Rational) -> Config:
     Thirds of the clock: scaling up to factor 2, then translation until
     the first entry is 1, then a straight-line slide onto the compressed
     tuple (valid because the configuration conditions are convex).
+    With s = p/q every phase is a numerator over q * den.
     """
-    t = require_cf(t)
-    s = Fraction(s)
-    if not 0 <= s <= 1:
-        raise DomainError(f"time {s} outside [0, 1]")
-    if s <= Fraction(1, 3):
-        factor = 1 + 3 * s
-        return tuple(factor * x for x in t)
-    scaled = tuple(2 * x for x in t)
-    if s <= Fraction(2, 3):
-        u = 3 * s - 1
-        shift = u * (1 - scaled[0])
-        return tuple(x + shift for x in scaled)
-    translated = tuple(x + 1 - scaled[0] for x in scaled)
-    target = _compress(t)
-    u = 3 * s - 2
-    return tuple((1 - u) * a + u * b for a, b in zip(translated, target))
+    _, den, xs = _scaled(t)
+    p, q = _time(s)
+    qd = q * den
+    if 3 * p <= q:  # factor 1 + 3s
+        return tuple(Fraction((q + 3 * p) * x, qd) for x in xs)
+    lift = den - 2 * xs[0]  # the shift that moves the scaled first entry to 1
+    if 3 * p <= 2 * q:  # scaled by 2, shifted by (3s - 1) * lift
+        shift = (3 * p - q) * lift
+        return tuple(Fraction(2 * q * x + shift, qd) for x in xs)
+    u = 3 * p - 2 * q  # the slide has gone u / q of the way
+    return tuple(Fraction((q - u) * (2 * x + lift) + u * c, qd)
+                 for x, c in zip(xs, _compress(den, xs)))

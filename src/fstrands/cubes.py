@@ -15,14 +15,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .diagrams import (
     EDGE,
     MERGE,
     SPLIT,
     StrandDiagram,
-    encode_word,
+    canonical_encoding,
     identity,
     invert,
     multiply,
@@ -44,6 +44,8 @@ class ComplexVertex:
     """A reduced (1,n) strand diagram."""
 
     diagram: StrandDiagram
+    #: The label, encoded on first use: cubes share tops, so it is read often.
+    _label: Optional[str] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.diagram.m != 1:
@@ -55,7 +57,9 @@ class ComplexVertex:
         return self.diagram.n
 
     def label(self) -> str:
-        return encode_word(self.diagram.to_slices())
+        if self._label is None:
+            object.__setattr__(self, "_label", canonical_encoding(self.diagram))
+        return self._label
 
     def __repr__(self) -> str:
         return f"ComplexVertex({self.label()})"
@@ -145,9 +149,12 @@ class Cube:
         return ComplexVertex(multiply_row(self.top.diagram, self.splits.components))
 
     def corner(self, eps: Sequence[int]) -> ComplexVertex:
-        """The corner selected by applying the splits flagged in ``eps``."""
+        """The corner selected by applying the splits flagged in ``eps``;
+        with no flag set it is ``top`` itself."""
         if len(eps) != self.dimension:
             raise DomainError(f"need {self.dimension} flags, got {len(eps)}")
+        if not any(eps):
+            return self.top
         comps = []
         k = 0
         for c in self.splits.components:
@@ -165,7 +172,8 @@ class Cube:
 
 def _cube(v: ComplexVertex, row: tuple[str, ...], tops: dict) -> Cube:
     """:func:`cube_from_forest` on a component row; ``tops`` keeps the top
-    vertex of each merge pattern, so each is built once."""
+    vertex of each merge pattern, so each is built once.  A split-only
+    row has the caret-free pattern, whose top holds ``v``'s own diagram."""
     merges = tuple(EDGE if c == SPLIT else c for c in row)
     top = tops.get(merges)
     if top is None:

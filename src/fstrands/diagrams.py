@@ -424,8 +424,12 @@ def multiply_row(a: StrandDiagram, kinds: Sequence[str]) -> StrandDiagram:
     table: ``a``'s tables are copied whole and caret j (left to right)
     becomes vertex ``a._slots + j``.  A row has no redex, so only the
     feeders of the sinks of ``a`` that a caret meets seed the reduction,
-    plus every vertex of ``a`` when it is not known to be reduced.
+    plus every vertex of ``a`` when it is not known to be reduced.  A
+    caret-free row of ``a.n`` edges is an identity of the groupoid, so a
+    flagged ``a`` comes back itself, with no copy.
     """
+    if a._reduced and len(kinds) == a.n == kinds.count(EDGE):
+        return a
     v = a._slots
     abot = a._bot
     kind = dict(a._kind)
@@ -496,12 +500,23 @@ def invert(a: StrandDiagram) -> StrandDiagram:
 
 def encode_word(w: SliceWord) -> str:
     """Compact single-token rendering of a slice word, e.g. ``1:S1.S2.M1``."""
-    return f"{w.sources}:" + ".".join(f"{t}{i}" for t, i in w.events)
+    return _encode(w.sources, w.events)
+
+
+def _encode(sources: int, events: Iterable[Event]) -> str:
+    return f"{sources}:" + ".".join(f"{t}{i}" for t, i in events)
 
 
 def canonical_encoding(d: StrandDiagram) -> str:
-    """Encoding of the reduced form; equal exactly for equivalent diagrams."""
-    return encode_word(reduce(d).to_slices())
+    """Encoding of the reduced form; equal exactly for equivalent diagrams.
+
+    The reduced form's slice word is read from its cache when it has
+    one.  Otherwise the linearization is encoded and not kept, so
+    encoding many diagrams, such as the vertices of a ball, caches no
+    slice words.
+    """
+    r = reduce(d)
+    return _encode(r.m, r._word.events if r._word is not None else _greedy_raw(r))
 
 
 def equivalent(a: StrandDiagram, b: StrandDiagram) -> bool:

@@ -193,8 +193,7 @@ def canonicalize_generalized(g: GeneralizedStrandDiagram) -> GeneralizedStrandDi
     for k, w in comps:
         row += [k] if w == 1 else [EDGE] * _SOURCES[k]
         rest += [(EDGE, None)] * _SINKS[k] if w == 1 else [(k, w)]
-    if any(c != EDGE for c in row):
-        base = multiply_row(base, row)
+    base = multiply_row(base, row)
     comps = rest
     # carets meeting an opposite base-bottom vertex flip
     split_pairs = base.bottom_split_pairs()
@@ -207,8 +206,7 @@ def canonicalize_generalized(g: GeneralizedStrandDiagram) -> GeneralizedStrandDi
             comps[i] = (SPLIT if k == MERGE else MERGE, 1 - w)
         else:
             row += [EDGE] * _SOURCES[k]
-    if any(c != EDGE for c in row):
-        base = multiply_row(base, row)
+    base = multiply_row(base, row)
     return GeneralizedStrandDiagram(base, WeightedElementaryForest.from_pairs(comps))
 
 

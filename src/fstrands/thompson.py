@@ -151,13 +151,14 @@ class TreePair:
 
     domain: Tree
     range: Tree
+    #: The leaf depths of each tree, read once by the leaf-count check.
+    _depths: tuple[list[int], list[int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if leaf_count(self.domain) != leaf_count(self.range):
-            raise DomainError(
-                f"leaf counts differ: {leaf_count(self.domain)} vs "
-                f"{leaf_count(self.range)}"
-            )
+        a, b = _leaf_depths(self.domain), _leaf_depths(self.range)
+        if len(a) != len(b):
+            raise DomainError(f"leaf counts differ: {len(a)} vs {len(b)}")
+        object.__setattr__(self, "_depths", (a, b))
 
 
 class FElement:
@@ -482,7 +483,7 @@ def tree_pair_pl(p: TreePair) -> PLMap:
     """Leaf i spans 2^-a_i of the domain and 2^-b_i of the range, so its
     slope is 2^(a_i - b_i); a breakpoint is kept only where that changes.
     Numerators sit over 2^D, D the largest depth."""
-    a, b = _leaf_depths(p.domain), _leaf_depths(p.range)
+    a, b = p._depths
     big = max(max(a), max(b))
     xs, ys = [0], [0]
     x = y = 0

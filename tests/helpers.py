@@ -867,3 +867,124 @@ def reference_pl_compose(m1: PLMap, m2: PLMap) -> PLMap:
     xs.update(reference_pl_eval(inv1, x) for x, _ in m2.points)
     return reference_from_points(
         (x, reference_pl_eval(m2.points, reference_pl_eval(m1.points, x))) for x in sorted(xs))
+
+
+# ---------------------------------------------------------------------------
+# reference configurations: every step in Fraction arithmetic
+
+
+def reference_is_in_cf(t) -> bool:
+    """Nonempty (else ``DomainError``), nondecreasing, t[i+2] - t[i] >= 1."""
+    t = tuple(Fraction(v) for v in t)
+    if not t:
+        raise DomainError("configurations have at least one entry")
+    if any(a > b for a, b in zip(t, t[1:])):
+        return False
+    return all(t[i + 2] - t[i] >= 1 for i in range(len(t) - 2))
+
+
+def reference_require_cf(t) -> tuple[Fraction, ...]:
+    t = tuple(Fraction(v) for v in t)
+    if not reference_is_in_cf(t):
+        raise DomainError(f"{tuple(map(str, t))} is not a configuration")
+    return t
+
+
+def reference_canonicalize_cf(t) -> tuple[Fraction, ...]:
+    t = reference_require_cf(t)
+    out = [t[0]]
+    for x in t[1:]:
+        if x != out[-1]:
+            out.append(x)
+    return tuple(out)
+
+
+def reference_expand(t, i: int) -> tuple[Fraction, ...]:
+    t = reference_require_cf(t)
+    if not 1 <= i <= len(t):
+        raise DomainError(f"index {i} out of range 1..{len(t)}")
+    x = t[i - 1]
+    if i >= 2 and x - t[i - 2] < 1:
+        raise DomainError(f"entry {i} is only {x - t[i - 2]} from its left neighbour")
+    if i <= len(t) - 1 and t[i] - x < 1:
+        raise DomainError(f"entry {i} is only {t[i] - x} from its right neighbour")
+    return t[: i - 1] + (x, x) + t[i:]
+
+
+def _reference_time(s) -> Fraction:
+    s = Fraction(s)
+    if not 0 <= s <= 1:
+        raise DomainError(f"time {s} outside [0, 1]")
+    return s
+
+
+def reference_contract_slice(t, s) -> tuple[Fraction, ...]:
+    t = reference_require_cf(t)
+    s = _reference_time(s)
+    return tuple((1 - s) * x + s * (k + 1) for k, x in enumerate(t))
+
+
+def reference_config_pairs(g: GeneralizedStrandDiagram) -> list:
+    out = []
+    run = Fraction(0)
+    for idx, (kind, w) in enumerate(g.forest.pairs(), start=1):
+        left = idx + run
+        if kind == SPLIT:
+            run += w
+        elif kind == MERGE:
+            run += 1 - w
+        out.append((kind, w, left, idx + run))
+    return out
+
+
+def reference_is_in_df(t) -> bool:
+    t = reference_require_cf(t)
+    if t[0] != 1:
+        return False
+    gaps = [b - a for a, b in zip(t, t[1:])]
+    for i, gap in enumerate(gaps):
+        if gap > 1:
+            return False
+        if gap < 1 and ((i > 0 and gaps[i - 1] != 1)
+                        or (i + 1 < len(gaps) and gaps[i + 1] != 1)):
+            return False
+    return True
+
+
+def reference_df_section(t) -> GeneralizedStrandDiagram:
+    t = reference_canonicalize_cf(t)
+    if not reference_is_in_df(t):
+        raise DomainError(f"{tuple(map(str, t))} is not in the image of the complex")
+    comps: list = []
+    k = 0
+    while k < len(t):
+        if k + 1 < len(t) and t[k + 1] - t[k] < 1:
+            comps.append((SPLIT, t[k + 1] - t[k]))
+            k += 2
+        else:
+            comps.append(EDGE)
+            k += 1
+    comb = SliceWord(1, tuple((SPLIT, i) for i in range(1, len(comps))))
+    return GeneralizedStrandDiagram(from_slices(comb), WeightedElementaryForest.from_pairs(comps))
+
+
+def reference_retract(t) -> tuple[Fraction, ...]:
+    t = reference_require_cf(t)
+    out = [Fraction(1)]
+    for a, b in zip(t, t[1:]):
+        out.append(out[-1] + min(2 * (b - a), Fraction(1)))
+    return tuple(out)
+
+
+def reference_retract_path(t, s) -> tuple[Fraction, ...]:
+    t = reference_require_cf(t)
+    s = _reference_time(s)
+    if s <= Fraction(1, 3):
+        return tuple((1 + 3 * s) * x for x in t)
+    scaled = tuple(2 * x for x in t)
+    if s <= Fraction(2, 3):
+        shift = (3 * s - 1) * (1 - scaled[0])
+        return tuple(x + shift for x in scaled)
+    translated = tuple(x + 1 - scaled[0] for x in scaled)
+    u = 3 * s - 2
+    return tuple((1 - u) * a + u * b for a, b in zip(translated, reference_retract(t)))

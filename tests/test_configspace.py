@@ -15,6 +15,7 @@ from fstrands.configspace import (
     expand,
     is_in_cf,
     is_in_df,
+    require_cf,
     retract,
     retract_path,
 )
@@ -32,6 +33,16 @@ from helpers import (
     random_cf_tuple,
     random_df_point,
     random_generalized,
+    reference_canonicalize_cf,
+    reference_config_pairs,
+    reference_contract_slice,
+    reference_df_section,
+    reference_expand,
+    reference_is_in_cf,
+    reference_is_in_df,
+    reference_require_cf,
+    reference_retract,
+    reference_retract_path,
     rng,
 )
 
@@ -202,14 +213,15 @@ class TestSection:
             df_section(cfg(1, 3))
 
     def test_checks_its_input_once(self, monkeypatch):
+        # every check of a configuration scales it to integer numerators first
         calls = []
-        real = configspace.is_in_cf
+        real = configspace._scaled
 
-        def spy(t):
+        def spy(t, *args, **kwargs):
             calls.append(t)
-            return real(t)
+            return real(t, *args, **kwargs)
 
-        monkeypatch.setattr(configspace, "is_in_cf", spy)
+        monkeypatch.setattr(configspace, "_scaled", spy)
         r = rng(5)
         points = [random_df_point(r) for _ in range(20)]
         for t in points:
@@ -304,3 +316,109 @@ class TestRetractPath:
         t = random_cf_tuple(r, r.randint(1, 12))
         for k in range(33):
             assert is_in_cf(retract_path(t, F(k, 32)))
+
+
+def _edge_tuples(r, count):
+    """Seeded tuples that start anywhere in [-5, 5] and step by gaps of
+    exactly 0, 1/2 and 1 or by random rationals over denominators up to
+    2^70 and 3^40, mixed within a tuple.  Most are configurations; the
+    rest crowd three entries into less than a unit or decrease."""
+    dens = (1, 2, 3, 8, 2 ** 70, 3 ** 40)
+    out = []
+    for _ in range(count):
+        den = r.choice(dens)
+        t = [F(r.randint(-5 * den, 5 * den), den)]
+        prev = F(2)
+        for _ in range(r.randint(0, 9)):
+            den = r.choice(dens)
+            gap = r.choice((F(0), F(1, 2), F(1), F(r.randint(0, 2 * den), den)))
+            if prev + gap < 1 and r.random() < 0.9:
+                gap = 1 - prev
+            elif r.random() < 0.02:
+                gap = -F(1, den)
+            t.append(t[-1] + gap)
+            prev = gap
+        out.append(tuple(t))
+    return out
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the message of the ``DomainError`` it raises."""
+    try:
+        out = fn(*args)
+    except DomainError as e:
+        return "DomainError", str(e)
+    if isinstance(out, tuple):
+        assert all(type(x) is Fraction for x in out)
+    return out
+
+
+class TestIntegerPathMatchesFractionReference:
+    """Each function scales its tuple to integer numerators over the lcm
+    of the denominators; the ``Fraction`` code it replaced, kept in
+    ``tests/helpers.py``, gives the same values and the same errors."""
+
+    TIMES = (F(0), F(1, 3), F(2, 3), F(1), F(1, 2), F(5, 6), F(1, 2 ** 70),
+             1 - F(1, 3 ** 40), "1/3", 1)
+    BAD_TIMES = (F(-1, 3), F(4, 3), -1, 2, F(1) + F(1, 2 ** 70))
+
+    def same(self, fn, ref, *args):
+        assert _outcome(fn, *args) == _outcome(ref, *args), args
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_tuples(self, seed):
+        r = rng(6100 + seed)
+        configs = 0
+        for t in _edge_tuples(r, 60):
+            assert is_in_cf(t) == reference_is_in_cf(t)
+            configs += reference_is_in_cf(t)
+            self.same(require_cf, reference_require_cf, t)
+            self.same(canonicalize_cf, reference_canonicalize_cf, t)
+            self.same(is_in_df, reference_is_in_df, t)
+            self.same(df_section, reference_df_section, t)
+            self.same(retract, reference_retract, t)
+            for i in range(len(t) + 2):
+                self.same(expand, reference_expand, t, i)
+            for s in self.TIMES + self.BAD_TIMES:
+                self.same(retract_path, reference_retract_path, t, s)
+                self.same(contract_slice, reference_contract_slice, t, s)
+            if reference_is_in_cf(t):
+                out = retract(t)
+                self.same(df_section, reference_df_section, out)
+                assert is_in_df(out) and reference_is_in_df(out)
+        assert 30 <= configs < 60  # non-configurations too
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_image_points(self, seed):
+        # image points, some ending in a short gap over 2^70 or 3^40, and
+        # with the first entry duplicated where that is legal
+        r = rng(6200 + seed)
+        for _ in range(40):
+            t = random_df_point(r)
+            den = r.choice((2 ** 70, 3 ** 40))
+            for u in (t, t + (t[-1] + 1, t[-1] + 1 + F(r.randint(1, den - 1), den))):
+                assert is_in_df(u) and reference_is_in_df(u)
+                self.same(df_section, reference_df_section, u)
+                if len(u) == 1 or u[1] - u[0] == 1:
+                    self.same(df_section, reference_df_section, u[:1] + u)
+
+    def test_empty_tuple(self):
+        for fn in (is_in_cf, require_cf, canonicalize_cf, is_in_df, retract):
+            with pytest.raises(DomainError, match="at least one entry"):
+                fn(())
+        self.same(retract_path, reference_retract_path, (), F(1, 2))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_config_pairs(self, seed):
+        r = rng(6300 + seed)
+        for _ in range(40):
+            g = random_generalized(r, max_carets=8, open_unit=False)
+            if r.random() < 0.5:  # reweight over large coprime denominators
+                den = r.choice((2 ** 70, 3 ** 40))
+                g = GeneralizedStrandDiagram(g.base, WeightedElementaryForest(
+                    g.forest.kinds,
+                    tuple(None if w is None else F(r.randint(0, den), den)
+                          for w in g.forest.weights)))
+            assert config_pairs(g) == reference_config_pairs(g)
+            assert config_map(g) == tuple(
+                x for _k, _w, left, right in reference_config_pairs(g) for x in (left, right))

@@ -1,8 +1,10 @@
 """Vertices, cubes, parameterization, orbit keys, balls, and holonomy."""
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from math import comb
 
 import pytest
 
@@ -24,7 +26,15 @@ from fstrands.cubes import (
     trivial_vertex,
     upper_bound,
 )
-from fstrands.diagrams import M, S, SliceWord, from_slices, multiply, multiply_row
+from fstrands.diagrams import (
+    M,
+    S,
+    SliceWord,
+    encode_word,
+    from_slices,
+    multiply,
+    multiply_row,
+)
 from fstrands.errors import DomainError
 from fstrands.forests import (
     EDGE,
@@ -220,6 +230,16 @@ class TestCubes:
         dims = sorted(c.dimension for c in cubes)
         assert dims == [0, 1]
 
+    def test_cube_counts_at_comb_vertices(self):
+        # a d-cube orbit (n', K) has C(d, j) corners with n' + j strands, so
+        # a vertex with n strands lies in sum_j C(d, j) C(n - j, d) d-cubes
+        for n in range(1, 9):
+            v = vtx(*(S(i) for i in range(1, n)))
+            found = Counter(cube.dimension for cube in cubes_at(v, 4))
+            for d in range(5):
+                assert found[d] == sum(comb(d, j) * comb(n - j, d)
+                                       for j in range(min(d, n) + 1)), (n, d)
+
     def test_dimension_matches_caret_count(self):
         v = vtx(S(1))
         for cube in cubes_at(v, 2):
@@ -304,13 +324,19 @@ class TestCaretRowsMatchMultiply:
                 assert (cube.top.label(), cube.splits) == (ref.top.label(), ref.splits)
                 merges = [EDGE if c == "S" else c for c in row]
                 assert _tables(cube.top.diagram) == _tables(_row_product(v.diagram, merges))
+                if "M" not in row:  # a caret-free row hands back the vertex's diagram
+                    assert cube.top.diagram is v.diagram
+                assert cube.corner((0,) * cube.dimension) is cube.top
                 for eps, corner in cube.corners():
                     flags = iter(eps)
                     comps = [("S" if next(flags) else EDGE) if c == "S" else c
                              for c in cube.splits.components]
                     want = _row_product(cube.top.diagram, comps)
                     assert _tables(corner.diagram) == _tables(want)
-                    assert corner.label() == ComplexVertex(want).label()
+                    # the label is encoded on the first call and kept
+                    label = corner.label()
+                    assert label == encode_word(corner.diagram.to_slices())
+                    assert corner.label() == label == ComplexVertex(want).label()
                 assert _tables(cube.bottom().diagram) == _tables(
                     _row_product(cube.top.diagram, cube.splits.components))
 

@@ -16,6 +16,7 @@ from fstrands.diagrams import (
     SliceWord,
     StrandDiagram,
     canonical_encoding,
+    encode_word,
     equivalent,
     from_slices,
     identity,
@@ -380,6 +381,15 @@ class TestEquality:
             assert a != b and b != a
             assert a._word is None and b._word is None
 
+    def test_canonical_encoding_caches_no_slice_word(self):
+        r = rng(7550)
+        for _ in range(60):
+            d = reduce(random_diagram(r, max_events=20, m_max=3))
+            enc = canonical_encoding(d)
+            assert d._word is None
+            assert enc == encode_word(d.to_slices())
+            assert canonical_encoding(d) == enc  # read off the cached word
+
     def test_equal_vertex_counts_still_linearize(self):
         a = from_slices(SliceWord(2, (S(1), M(2))))
         b = from_slices(SliceWord(2, (S(2), M(1))))
@@ -591,6 +601,23 @@ class TestMultiplyRow:
     def test_unknown_component(self):
         with pytest.raises(DomainError, match="'X'"):
             multiply_row(identity(3), (EDGE, "X", SPLIT))
+
+    def test_caret_free_row_hands_back_a_flagged_input(self):
+        for a in self.left_factors(7700, 30):
+            flagged = a._reduced
+            row = (EDGE,) * a.n
+            if flagged:
+                assert multiply_row(a, row) is a
+                assert multiply_row(a, list(row)) is a
+            else:  # a reduced copy, as from any other row
+                self.assert_same(a, row)
+                assert multiply_row(a, row) is not a
+            # the shortcut checks neither more nor less than the full stacking
+            for bad in ((EDGE,) * (a.n + 1), (EDGE,) * (a.n - 1)):
+                with pytest.raises(CompositionError, match=f"{a.n} sinks"):
+                    multiply_row(a, bad)
+            with pytest.raises(DomainError, match="'X'"):
+                multiply_row(a, (EDGE,) * (a.n - 1) + ("X",))
 
 
 class TestWiringChecks:
