@@ -242,11 +242,14 @@ def parameterize(cube: Cube, base: ComplexVertex,
 @dataclass(frozen=True)
 class OrbitKey:
     """Left-action invariant of a point: the weighted forest seen from the
-    top corner of its supporting cube (split carets only) plus the top
-    vertex's sink count."""
+    top corner of its supporting cube (split carets only).  The top
+    vertex's sink count ``n`` is the number of components."""
 
     components: tuple[Union[str, tuple[str, Fraction]], ...]
-    n: int
+
+    @property
+    def n(self) -> int:
+        return len(self.components)
 
     def __str__(self) -> str:
         bits = [c if isinstance(c, str) else f"{c[0]}{c[1]}" for c in self.components]
@@ -268,7 +271,7 @@ def orbit_key(p: GeneralizedStrandDiagram) -> OrbitKey:
             comps.append((SPLIT, w))
         else:
             comps.append((SPLIT, 1 - w))
-    return OrbitKey(tuple(comps), len(comps))
+    return OrbitKey(tuple(comps))
 
 
 def left_act(g: FElement, p: GeneralizedStrandDiagram) -> GeneralizedStrandDiagram:
@@ -336,7 +339,7 @@ def ball(v: ComplexVertex, radius: int, quotient: bool = False,
             raise DomainError(f"ball exceeded the vertex cap ({cap})")
         if (lo + hi) * (hi - lo + 1) // 2 > CAP:  # the labels spell lo + ... + hi strands
             raise DomainError(f"quotient ball labels of more than {CAP} strands")
-        names = [str(OrbitKey((EDGE,) * c, c)) for c in range(lo, hi + 1)]
+        names = [str(OrbitKey((EDGE,) * c)) for c in range(lo, hi + 1)]
         root = names[v.n - lo]
         return BallGraph(root, tuple(sorted(names)), tuple(sorted(zip(names, names[1:]))),
                          {root: v})

@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, repeat
 from math import lcm
 from numbers import Rational
@@ -284,7 +285,8 @@ def from_word(letters: Union[str, Iterable[str]]) -> FElement:
 # exact piecewise linear maps
 #
 # The arithmetic runs on int numerators over one power-of-two
-# denominator 2^e; ``Fraction`` appears only in ``PLMap.points``.
+# denominator 2^e; a map holds no ``Fraction`` until its ``points`` are
+# first read.
 
 
 def _odd(n: int) -> int:
@@ -335,48 +337,36 @@ def _require_rational(pts) -> None:
                 raise DomainError(f"breakpoint coordinate {v!r} is not rational")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PLMap:
     """A PL homeomorphism of [0,1]: dyadic breakpoints, power-of-two slopes.
 
-    ``points`` holds the breakpoints as given; maps built by the library
-    have no collinear interior points.  ``_num`` holds the canonical form
-    as (e, xs, ys): int numerators over 2^e with e least, keeping only the
-    ends and the points where the slope changes.  Two maps are equal,
-    and hash alike, exactly when their ``_num`` are, whatever collinear
-    points ``points`` holds.
+    ``PLMap(points)`` takes the breakpoints in increasing order, collinear
+    ones allowed.  The only state is ``_num``, the canonical form
+    (e, xs, ys): int numerators over 2^e with e least, keeping only the
+    ends and the points where the slope changes.  ``==`` and ``hash``
+    read it, so collinear extras given to ``PLMap(...)`` do not matter.
     """
 
-    points: tuple[tuple[Fraction, Fraction], ...] = field(compare=False)
-    _num: tuple = field(init=False, repr=False)
+    _num: tuple
 
-    def __post_init__(self) -> None:
-        _require_rational(self.points)
-        den = lcm(*(v.denominator for p in self.points for v in p))
-        xs = [x.numerator * (den // x.denominator) for x, _ in self.points]
-        ys = [y.numerator * (den // y.denominator) for _, y in self.points]
+    def __init__(self, points: tuple[tuple[Rational, Rational], ...]) -> None:
+        _require_rational(points)
+        den = lcm(*(v.denominator for p in points for v in p))
+        xs = [x.numerator * (den // x.denominator) for x, _ in points]
+        ys = [y.numerator * (den // y.denominator) for _, y in points]
         _check_points(den, xs, ys)
         keep = [0] + [i for i in range(1, len(xs) - 1)
                       if _slope_exp(xs, ys, i - 1) != _slope_exp(xs, ys, i)] + [len(xs) - 1]
         object.__setattr__(self, "_num", _lowest(den.bit_length() - 1, [xs[i] for i in keep],
                                                  [ys[i] for i in keep]))
 
-    @classmethod
-    def from_points(cls, pts: Iterable[tuple[Fraction, Fraction]]) -> "PLMap":
-        """Build from breakpoints, dropping collinear interior points."""
-        pts = tuple(pts)
-        _require_rational(pts)
-        raw = sorted({(Fraction(x), Fraction(y)) for x, y in pts})
-        keep: list[tuple[Fraction, Fraction]] = []
-        for p in raw:
-            while len(keep) >= 2:
-                (x0, y0), (x1, y1) = keep[-2], keep[-1]
-                if (y1 - y0) * (p[0] - x1) == (p[1] - y1) * (x1 - x0):
-                    keep.pop()
-                else:
-                    break
-            keep.append(p)
-        return cls(tuple(keep))
+    @cached_property
+    def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The canonical breakpoints as ``Fraction``s, built on first read."""
+        e, xs, ys = self._num
+        den = 1 << e
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in zip(xs, ys))
 
     @staticmethod
     def identity() -> "PLMap":
@@ -391,12 +381,8 @@ def _pl_map(e: int, xs: list[int], ys: list[int]) -> PLMap:
         _check_points(1 << e, xs, ys)
     except DomainError as exc:
         raise InvariantViolation(f"built an invalid PL map over 2^{e}: {exc}") from None
-    e, xs, ys = _lowest(e, xs, ys)
-    den = 1 << e
     m = object.__new__(PLMap)
-    object.__setattr__(m, "points", tuple((Fraction(x, den), Fraction(y, den))
-                                          for x, y in zip(xs, ys)))
-    object.__setattr__(m, "_num", (e, xs, ys))
+    object.__setattr__(m, "_num", _lowest(e, xs, ys))
     return m
 
 
@@ -475,7 +461,7 @@ def pl_compose(m1: PLMap, m2: PLMap) -> PLMap:
 
 
 def pl_eq(m1: PLMap, m2: PLMap) -> bool:
-    """Equality of the maps, whatever collinear points ``points`` holds."""
+    """Equality of the maps: their canonical forms agree."""
     return m1 == m2
 
 

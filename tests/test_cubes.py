@@ -13,6 +13,7 @@ from fstrands.cubes import (
     CAP,
     ComplexVertex,
     Cube,
+    OrbitKey,
     ball,
     cube_from_forest,
     cubes_at,
@@ -557,6 +558,11 @@ class TestOrbitKey:
             keys.add((orbit_key(GeneralizedStrandDiagram.vertex(v.diagram)), v.n))
         assert all(key.n == n and set(key.components) <= {EDGE} for key, n in keys)
         assert len({key for key, _ in keys}) == len({n for _, n in keys})
+
+    def test_sink_count_is_the_component_count(self):
+        key = OrbitKey((EDGE, (diagrams.SPLIT, Fraction(1, 3)), EDGE))
+        assert key.n == 3 and str(key) == "3|E.S1/3.E"
+        assert str(OrbitKey((EDGE,) * 2)) == "2|E.E"
 
     @pytest.mark.parametrize("seed", range(40))
     def test_invariant_under_left_action(self, seed):

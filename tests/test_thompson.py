@@ -506,48 +506,38 @@ def perturbed_points(r) -> tuple:
 
 
 NON_RATIONAL_POINTS = [((0.0, 0.0), (1.0, 1.0)), ((0, 0), (0.5, 0.5), (1, 1)),
-                       (("0", "0"), ("1", "1")), ((0, 0), (1, "1"))]
+                       (("0", "0"), ("1", "1")), ((0, 0), (1, "1")), ((0.0, 0.0), ("1", 1))]
 
 
 class TestPLValidation:
-    """``PLMap`` and ``PLMap.from_points`` reject what the Fraction
-    validator kept in ``tests/helpers.py`` rejects, with its message."""
+    """``PLMap`` rejects what the Fraction validator kept in
+    ``tests/helpers.py`` rejects, with its message."""
 
-    @pytest.mark.parametrize("build", [PLMap, PLMap.from_points], ids=["init", "from_points"])
     @pytest.mark.parametrize("kind", sorted(INVALID_POINTS))
-    def test_each_invalid_kind_raises(self, build, kind):
+    def test_each_invalid_kind_raises(self, kind):
         pts = INVALID_POINTS[kind]
         assert kind in reference_pl_check(pts)
         with pytest.raises(DomainError, match=kind):
-            build(pts)
+            PLMap(pts)
 
     def test_matches_reference_on_perturbed_maps(self):
         r = rng(1207)
         rejected = 0
         for _ in range(600):
             pts = perturbed_points(r)
-            for build, canon in ((PLMap, pts), (PLMap.from_points, reference_canonical_points(pts))):
-                msg = reference_pl_check(canon)
-                if msg is None:
-                    assert build(pts).points == canon
-                else:
-                    rejected += 1
-                    with pytest.raises(DomainError, match=re.escape(msg)):
-                        build(pts)
+            msg = reference_pl_check(pts)
+            if msg is None:
+                assert PLMap(pts).points == reference_canonical_points(pts)
+            else:
+                rejected += 1
+                with pytest.raises(DomainError, match=re.escape(msg)):
+                    PLMap(pts)
         assert 300 < rejected < 1000
 
     @pytest.mark.parametrize("pts", NON_RATIONAL_POINTS)
     def test_non_rational_coordinates_raise(self, pts):
         with pytest.raises(DomainError, match="not rational"):
             PLMap(pts)
-
-    @pytest.mark.parametrize("pts", NON_RATIONAL_POINTS + [((0.0, 0.0), ("1", 1))])
-    def test_from_points_rejects_non_rational_like_init(self, pts):
-        with pytest.raises(DomainError, match="not rational") as by_init:
-            PLMap(pts)
-        with pytest.raises(DomainError, match="not rational") as by_points:
-            PLMap.from_points(pts)
-        assert str(by_points.value) == str(by_init.value)
 
     def test_library_maps_failing_the_check_are_bugs(self):
         with pytest.raises(InvariantViolation, match="power of two"):
@@ -572,13 +562,13 @@ def with_collinear_points(r, pts: tuple) -> tuple:
 
 
 class TestCanonicalEquality:
-    """``==``, ``hash`` and ``pl_eq`` go through canonical numerators, so
-    breakpoints given to ``PLMap(...)`` with collinear extras still
-    compare equal."""
+    """``PLMap(...)`` drops collinear extras from the breakpoints it is
+    given, so ``points`` reads back canonical and ``==``, ``hash`` and
+    ``pl_eq`` are map equality."""
 
     def test_collinear_midpoint_of_the_identity(self):
         m = PLMap(((0, 0), (F(1, 2), F(1, 2)), (1, 1)))
-        assert m.points == ((0, 0), (F(1, 2), F(1, 2)), (1, 1))
+        assert m.points == ((0, 0), (1, 1)) == PLMap.identity().points
         assert pl_eq(m, PLMap.identity()) and pl_eq(PLMap.identity(), m)
         assert m == PLMap.identity() and hash(m) == hash(PLMap.identity())
 
@@ -588,9 +578,10 @@ class TestCanonicalEquality:
             m = to_pl(from_word(random_f_word(r, 10)))
             pts = with_collinear_points(r, m.points)
             v = PLMap(pts)
-            assert v.points == pts
-            assert pl_eq(v, m) and pl_eq(v, PLMap.from_points(pts))
-            assert v == m == PLMap.from_points(pts) and hash(v) == hash(m)
+            assert len(pts) > len(m.points)
+            assert v.points == m.points == reference_canonical_points(pts)
+            assert pl_eq(v, m) and pl_eq(m, v)
+            assert v == m and hash(v) == hash(m)
             assert v._num == m._num
             assert [pl_eval(v, x) for x, _ in pts] == [pl_eval(m, x) for x, _ in pts]
             assert pl_eq(pl_inverse(v), pl_inverse(m))
@@ -687,6 +678,34 @@ class TestIntegerPLMatchesReference:
         assert pl_compose(there, back).points == PLMap.identity().points
         twice = pl_compose(there, there)
         assert twice.points == reference_pl_compose(there, there).points
+
+
+class TestPointsBuiltOnRead:
+    """The PL layer runs on ints: only a read of ``PLMap.points`` builds
+    ``Fraction``s, once per map."""
+
+    def test_fractions_only_on_first_read_of_points(self, monkeypatch):
+        built = []
+
+        class Counting(Fraction):
+            def __new__(cls, *args):
+                built.append(args)
+                return super().__new__(cls, *args)
+
+        monkeypatch.setattr(thompson, "Fraction", Counting)
+        r = rng(1901)
+        for _ in range(100):
+            g, h = from_word(random_f_word(r, 16)), from_word(random_f_word(r, 16))
+            m = to_pl(g)
+            maps = [m, pl_compose(m, to_pl(h)), pl_inverse(m), PLMap.identity()]
+            assert built == []
+            for x in maps:
+                pts = x.points
+                assert len(built) == 2 * len(pts)
+                assert x.points is pts and len(built) == 2 * len(pts)
+                built.clear()
+            assert m.points == reference_tree_pair_pl(diagram_to_tree_pair(g)).points
+            built.clear()  # the reference map's points were read too
 
 
 class TestWordProblemCrossOracle:

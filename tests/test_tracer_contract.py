@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from fstrands.diagrams import StrandDiagram
-from fstrands.thompson import from_word, merge_free_form
+from fstrands.thompson import from_word, merge_free_form, to_pl
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -42,3 +42,12 @@ def test_merge_free_form_returns_diagram_and_rounds(spans):
     form, rounds = result
     assert isinstance(form, StrandDiagram) and type(rounds) is int
     assert form.n == from_word("abAB").rep.split_count + 1
+
+
+def test_to_pl_result_has_points(spans):
+    # the tracer's ``_to_pl`` hook reads ``len(result.points)``
+    g = from_word("abAB")
+    m = to_pl(g)
+    tr = spans.Tracer()
+    spans._HOOKS["thompson.to_pl"](tr, (g,), m, False)
+    assert tr.counters[("thompson.to_pl.breakpoints", "")] == len(m.points)
