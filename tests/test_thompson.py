@@ -3,6 +3,7 @@
 import re
 import sys
 from fractions import Fraction
+from numbers import Rational
 
 import pytest
 
@@ -506,7 +507,7 @@ def perturbed_points(r) -> tuple:
 
 
 NON_RATIONAL_POINTS = [((0.0, 0.0), (1.0, 1.0)), ((0, 0), (0.5, 0.5), (1, 1)),
-                       (("0", "0"), ("1", "1")), ((0, 0), (1, "1")), ((0.0, 0.0), ("1", 1))]
+                       (("0", "0"), ("1", "1")), ((0, 0), (1, "1"))]
 
 
 class TestPLValidation:
@@ -538,6 +539,16 @@ class TestPLValidation:
     def test_non_rational_coordinates_raise(self, pts):
         with pytest.raises(DomainError, match="not rational"):
             PLMap(pts)
+
+    @pytest.mark.parametrize("pts", NON_RATIONAL_POINTS + [((0.0, 0.0), ("1", 1))])
+    def test_from_points_rejects_non_rational_like_init(self, pts):
+        # PLMap(...) drops collinear points as from_points did; the rational
+        # check still comes first, so (0.5, 0.5) on the identity is rejected,
+        # not dropped, and the message names the first bad coordinate
+        bad = next(v for p in pts for v in p if not isinstance(v, Rational))
+        with pytest.raises(DomainError) as by_init:
+            PLMap(pts)
+        assert str(by_init.value) == f"breakpoint coordinate {bad!r} is not rational"
 
     def test_library_maps_failing_the_check_are_bugs(self):
         with pytest.raises(InvariantViolation, match="power of two"):
