@@ -70,11 +70,11 @@ from .cubes import (
 from .configspace import (
     canonicalize_cf,
     config_map,
-    contract_slice,
     df_section,
     expand,
     is_in_cf,
     is_in_df,
+    key_config,
     retract,
     retract_path,
 )
@@ -93,7 +93,7 @@ __all__ = [
     "cube_from_forest", "cubes_at", "elementary_forests_at", "holonomy",
     "left_act", "leq", "orbit_key", "parameterize", "trivial_vertex",
     "upper_bound",
-    "canonicalize_cf", "config_map", "contract_slice", "df_section", "expand",
-    "is_in_cf", "is_in_df", "retract", "retract_path",
+    "canonicalize_cf", "config_map", "df_section", "expand", "is_in_cf",
+    "is_in_df", "key_config", "retract", "retract_path",
 ]
 __version__ = "0.1.0"

@@ -67,14 +67,6 @@ def _scaled(t: Sequence[Rational],
     return t, den, xs
 
 
-def _time(s: Rational) -> tuple[int, int]:
-    """Numerator and denominator of a time in [0, 1]."""
-    s = Fraction(s)
-    if not 0 <= s <= 1:
-        raise DomainError(f"time {s} outside [0, 1]")
-    return s.numerator, s.denominator
-
-
 def is_in_cf(t: Sequence[Rational]) -> bool:
     """Membership test: nondecreasing, with t[i+2] - t[i] >= 1."""
     return _scaled(t, strict=False) is not None
@@ -110,14 +102,6 @@ def expand(t: Sequence[Rational], i: int) -> Config:
         raise DomainError(f"entry {i} is only {Fraction(xs[i] - x, den)} "
                           "from its right neighbour")
     return t[: i - 1] + (t[i - 1],) * 2 + t[i:]
-
-
-def contract_slice(t: Sequence[Rational], s: Rational) -> Config:
-    """Convex slide toward the evenly spaced tuple (1, 2, ..., n)."""
-    _, den, xs = _scaled(t)
-    p, q = _time(s)
-    qd = q * den
-    return tuple(Fraction((q - p) * x + p * k * den, qd) for k, x in enumerate(xs, start=1))
 
 
 def config_pairs(g: GeneralizedStrandDiagram) -> list[tuple[str, Fraction, Fraction, Fraction]]:
@@ -199,6 +183,17 @@ def df_section(t: Sequence[Rational]) -> GeneralizedStrandDiagram:
     )
 
 
+def key_config(key) -> Config:
+    """The configuration of the cell ``key``, inverted by :func:`df_section`:
+    each component starts a unit after the previous one ended, and a split
+    of weight w covers [x, x + w]."""
+    out, x = [], Fraction(1)
+    for c in key.components:
+        out += [x] if c == EDGE else [x, x + c[1]]
+        x = out[-1] + 1
+    return tuple(out)
+
+
 def retract(t: Sequence[Rational]) -> Config:
     """Scale by 2, translate the first entry to 1, then compress every gap
     above 1 down to 1, left to right.  Lands in the image set exactly.
@@ -228,7 +223,10 @@ def retract_path(t: Sequence[Rational], s: Rational) -> Config:
     With s = p/q every phase is a numerator over q * den.
     """
     _, den, xs = _scaled(t)
-    p, q = _time(s)
+    s = Fraction(s)
+    if not 0 <= s <= 1:
+        raise DomainError(f"time {s} outside [0, 1]")
+    p, q = s.numerator, s.denominator
     qd = q * den
     if 3 * p <= q:  # factor 1 + 3s
         return tuple(Fraction((q + 3 * p) * x, qd) for x in xs)

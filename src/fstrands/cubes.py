@@ -5,8 +5,8 @@ splitting.  A cube is stored canonically as a top vertex plus the
 split-only elementary forest leading to its bottom vertex; weighting the
 splits parameterizes the cube's points by generalized strand diagrams.
 The group of (1,1) diagrams acts on everything by left multiplication,
-and the quotient invariants (orbit keys) live entirely in the weighted
-forest seen from the top corner.
+which changes only the base.  A point's orbit key, read off its weighted
+forest alone, is the cell (n, K, w) of the quotient X/F holding it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .diagrams import (
+    _SINKS,
+    _SOURCES,
     EDGE,
     MERGE,
     SPLIT,
@@ -241,9 +243,9 @@ def parameterize(cube: Cube, base: ComplexVertex,
 
 @dataclass(frozen=True)
 class OrbitKey:
-    """Left-action invariant of a point: the weighted forest seen from the
-    top corner of its supporting cube (split carets only).  The top
-    vertex's sink count ``n`` is the number of components."""
+    """The cell (n, K, w) of X/F: an edge or a split of weight w in (0, 1)
+    per strand of the top corner of a point's cube, so n is the number of
+    components and K the positions of the splits."""
 
     components: tuple[Union[str, tuple[str, Fraction]], ...]
 
@@ -257,20 +259,18 @@ class OrbitKey:
 
 
 def orbit_key(p: GeneralizedStrandDiagram) -> OrbitKey:
-    """Constant on left-multiplication orbits; distinguishes distinct ones.
-
-    Merge carets of the canonical forest are re-read from the top corner
-    of the supporting cube, where they appear as splits of complementary
-    weight.
-    """
+    """The cell of ``p`` in X/F, read off its weighted forest alone: an
+    edge or a caret of weight 0 gives its source edges, a caret of weight
+    1 its sink edges, a split of weight w a split, and a merge of weight w
+    a split of weight 1 - w seen from the top corner.  No move of
+    :func:`canonicalize_generalized` changes it, and the left action
+    changes only the base."""
     comps: list[Union[str, tuple[str, Fraction]]] = []
-    for k, w in canonicalize_generalized(p).forest.pairs():
-        if k == EDGE:
-            comps.append(EDGE)
-        elif k == SPLIT:
-            comps.append((SPLIT, w))
+    for k, w in p.forest.pairs():
+        if k == EDGE or w in (0, 1):
+            comps += [EDGE] * (_SINKS if w == 1 else _SOURCES)[k]
         else:
-            comps.append((SPLIT, 1 - w))
+            comps.append((SPLIT, w if k == SPLIT else 1 - w))
     return OrbitKey(tuple(comps))
 
 

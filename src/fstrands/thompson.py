@@ -397,11 +397,6 @@ def pl_eval(m: PLMap, x) -> Fraction:
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
-def pl_inverse(m: PLMap) -> PLMap:
-    e, xs, ys = m._num
-    return _pl_map(e, ys, xs)
-
-
 def _slope_exp(xs: list[int], ys: list[int], i: int) -> int:
     """k with slope 2^k on segment i: dy = dx * 2^k, so their bit lengths
     differ by k."""

@@ -21,7 +21,7 @@ from fstrands.diagrams import (
     from_slices,
     multiply,
 )
-from fstrands.cubes import ComplexVertex, Cube, cube_from_forest, orbit_key
+from fstrands.cubes import ComplexVertex, Cube, OrbitKey, cube_from_forest
 from fstrands.errors import DomainError, InvariantViolation
 from fstrands.forests import (
     EDGE,
@@ -33,7 +33,7 @@ from fstrands.forests import (
     canonicalize_generalized,
 )
 from fstrands.diagrams import invert, multiply_row
-from fstrands.thompson import X0, X1, FElement, PLMap, Tree, TreePair
+from fstrands.thompson import X0, X1, FElement, PLMap, Tree, TreePair, _pl_map
 
 
 def rng(seed: int) -> random.Random:
@@ -650,7 +650,7 @@ def reference_quotient_ball(v: ComplexVertex, radius: int, cap: int) -> tuple:
     neighbours built with ``multiply`` and named by their orbit keys.  A
     new vertex found when ``cap`` are known raises ``DomainError``."""
     def name(x: ComplexVertex) -> str:
-        return str(orbit_key(GeneralizedStrandDiagram.vertex(x.diagram)))
+        return str(reference_orbit_key(GeneralizedStrandDiagram.vertex(x.diagram)))
 
     start = name(v)
     dist = {start: 0}
@@ -698,6 +698,21 @@ def reference_parameterize(cube: Cube, base: ComplexVertex, coords) -> Generaliz
             k += 1
     g = GeneralizedStrandDiagram(base.diagram, WeightedElementaryForest.from_pairs(comps))
     return canonicalize_generalized(g)
+
+
+def reference_orbit_key(p: GeneralizedStrandDiagram) -> OrbitKey:
+    """The orbit key read off the canonical form: its edges and splits as
+    they are, and each merge of weight w from the top corner of the
+    supporting cube, where it is a split of weight 1 - w."""
+    comps: list = []
+    for k, w in canonicalize_generalized(p).forest.pairs():
+        if k == EDGE:
+            comps.append(EDGE)
+        elif k == SPLIT:
+            comps.append((SPLIT, w))
+        else:
+            comps.append((SPLIT, 1 - w))
+    return OrbitKey(tuple(comps))
 
 
 def forests_by_carets(n: int, max_carets: int) -> list[int]:
@@ -859,6 +874,12 @@ def reference_pl_eval(points, x: Fraction) -> Fraction:
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
+def pl_inverse(m: PLMap) -> PLMap:
+    """The inverse map: the canonical breakpoints with x and y swapped."""
+    e, xs, ys = m._num
+    return _pl_map(e, ys, xs)
+
+
 def reference_pl_compose(m1: PLMap, m2: PLMap) -> PLMap:
     """``m1`` then ``m2``, evaluated at the breakpoints of ``m1`` and the
     preimages under ``m1`` of the breakpoints of ``m2``."""
@@ -916,12 +937,6 @@ def _reference_time(s) -> Fraction:
     if not 0 <= s <= 1:
         raise DomainError(f"time {s} outside [0, 1]")
     return s
-
-
-def reference_contract_slice(t, s) -> tuple[Fraction, ...]:
-    t = reference_require_cf(t)
-    s = _reference_time(s)
-    return tuple((1 - s) * x + s * (k + 1) for k, x in enumerate(t))
 
 
 def reference_config_pairs(g: GeneralizedStrandDiagram) -> list:

@@ -1,6 +1,8 @@
 """Configuration tuples, the strand-position map, and the retraction."""
 
 from fractions import Fraction
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -10,16 +12,16 @@ from fstrands.configspace import (
     canonicalize_cf,
     config_map,
     config_pairs,
-    contract_slice,
     df_section,
     expand,
     is_in_cf,
     is_in_df,
+    key_config,
     require_cf,
     retract,
     retract_path,
 )
-from fstrands.cubes import orbit_key
+from fstrands.cubes import OrbitKey, orbit_key
 from fstrands.diagrams import S, SliceWord, from_slices, identity
 from fstrands.errors import DomainError
 from fstrands.forests import (
@@ -35,7 +37,6 @@ from helpers import (
     random_generalized,
     reference_canonicalize_cf,
     reference_config_pairs,
-    reference_contract_slice,
     reference_df_section,
     reference_expand,
     reference_is_in_cf,
@@ -110,20 +111,19 @@ class TestCanonicalizeExpand:
 
 
 class TestContract:
-    def test_endpoints(self):
-        t = cfg(0, 0, 1)
-        assert contract_slice(t, 0) == t
-        assert contract_slice(t, 1) == cfg(1, 2, 3)
-
-    def test_midpoint(self):
-        assert contract_slice(cfg(0, 0, 1), F(1, 2)) == cfg(F(1, 2), 1, 2)
+    """Each C_n is convex, so straight lines contract it onto (1, ..., n)."""
 
     @pytest.mark.parametrize("seed", range(25))
     def test_stays_inside(self, seed):
+        # the segment from a configuration to (1, ..., n), and to another
+        # configuration of the same length, stays in C_n
         r = rng(seed)
-        t = random_cf_tuple(r, r.randint(1, 10))
-        for k in range(9):
-            assert is_in_cf(contract_slice(t, F(k, 8)))
+        n = r.randint(1, 10)
+        t = random_cf_tuple(r, n)
+        for u in (cfg(*range(1, n + 1)), random_cf_tuple(r, n)):
+            for k in range(9):
+                s = F(k, 8)
+                assert is_in_cf(tuple((1 - s) * a + s * b for a, b in zip(t, u)))
 
 
 class TestConfigMap:
@@ -247,11 +247,32 @@ class TestSection:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_section_inverts_orbit_key(self, seed):
-        # reconstructing from the configuration recovers the orbit key
+        # the key's configuration is the canonical image of any
+        # representative, and reconstructing from it recovers the key
         r = rng(seed)
-        g = canonicalize_generalized(random_generalized(r, max_carets=8))
-        p = df_section(canonicalize_cf(config_map(g)))
-        assert orbit_key(p) == orbit_key(g)
+        g = random_generalized(r, max_carets=8, open_unit=False)
+        for _ in range(r.randint(0, 6)):
+            g = random_gmove(g, r)
+        key = orbit_key(g)
+        assert key_config(key) == canonicalize_cf(config_map(g))
+        assert orbit_key(df_section(key_config(key))) == key
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_every_small_cell(self, size):
+        # every cell (n, K, w) with n + |K| = size and weights in {1/4, 1/2, 3/4}
+        cells = 0
+        for n in range(1, size + 1):
+            for splits in combinations(range(n), size - n):
+                for ws in product((F(1, 4), F(1, 2), F(3, 4)), repeat=size - n):
+                    w = dict(zip(splits, ws))
+                    key = OrbitKey(tuple(("S", w[i]) if i in w else "E" for i in range(n)))
+                    t = key_config(key)
+                    assert is_in_df(t)
+                    p = df_section(t)
+                    assert orbit_key(p) == key
+                    assert canonicalize_cf(config_map(p)) == t
+                    cells += 1
+        assert cells == sum(comb(n, size - n) * 3 ** (size - n) for n in range(1, size + 1))
 
 
 class TestRetract:
@@ -381,7 +402,6 @@ class TestIntegerPathMatchesFractionReference:
                 self.same(expand, reference_expand, t, i)
             for s in self.TIMES + self.BAD_TIMES:
                 self.same(retract_path, reference_retract_path, t, s)
-                self.same(contract_slice, reference_contract_slice, t, s)
             if reference_is_in_cf(t):
                 out = retract(t)
                 self.same(df_section, reference_df_section, out)

@@ -65,6 +65,7 @@ from helpers import (
     random_vertex_diagram,
     reference_cubes_at,
     reference_elementary_forests_at,
+    reference_orbit_key,
     reference_parameterize,
     reference_quotient_ball,
     rng,
@@ -572,6 +573,37 @@ class TestOrbitKey:
         p = random_generalized(r, max_carets=6)
         g = from_word(random_f_word(r, 6))
         assert orbit_key(left_act(g, p)) == orbit_key(p)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_forest_rule_matches_the_canonical_form(self, seed):
+        # 300 representatives a seed whose forests carry weights 0 and 1,
+        # each moved by 1 to 6 class moves, keyed against the canonical form
+        r = rng(seed + 2100)
+        boundary = 0
+        for _ in range(300):
+            p = random_generalized(r, max_carets=8, open_unit=False)
+            for _ in range(r.randint(1, 6)):
+                p = random_gmove(p, r)
+            boundary += any(w in (0, 1) for w in p.forest.weights)
+            assert orbit_key(p) == reference_orbit_key(p), p
+        assert boundary >= 100
+
+    def test_builds_no_diagram(self, monkeypatch):
+        r = rng(2200)
+        points = [random_gmove(random_generalized(r, max_carets=8, open_unit=False), r)
+                  for _ in range(50)]
+        keys = [reference_orbit_key(p) for p in points]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("orbit_key built or reduced a diagram")
+
+        for module, name in ((cubes, "canonicalize_generalized"), (cubes, "multiply_row"),
+                             (cubes, "reduce"), (diagrams, "multiply_row"),
+                             (diagrams, "reduce"), (forests, "canonicalize_generalized")):
+            monkeypatch.setattr(module, name, refuse)
+        for cls in (GeneralizedStrandDiagram, forests.WeightedElementaryForest):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        assert [orbit_key(p) for p in points] == keys
 
     def test_distinct_interior_points_have_distinct_keys(self):
         cube = cube_from_forest(trivial_vertex(), ElementaryForest(("S",)))

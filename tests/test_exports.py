@@ -3,8 +3,10 @@
 import fstrands
 
 #: Second entry points deleted in favour of ``*``, ``~`` and the methods
-#: they wrapped; none may come back as an export.
-DELETED = ("f_mul", "f_inv", "vertex_point", "require_df", "caret_count")
+#: they wrapped, and functions deleted for want of a caller; none may come
+#: back as an export.
+DELETED = ("f_mul", "f_inv", "vertex_point", "require_df", "caret_count",
+           "contract_slice")
 
 
 def test_every_export_resolves():

@@ -26,7 +26,6 @@ from fstrands.thompson import (
     pl_compose,
     pl_eq,
     pl_eval,
-    pl_inverse,
     to_pl,
     tree_diagram,
     tree_pair_pl,
@@ -38,6 +37,7 @@ from helpers import (
     check_tables,
     full_round_tree_pair,
     left_fold_from_word,
+    pl_inverse,
     random_diagram,
     random_f_word,
     random_vertex_diagram,
