@@ -285,8 +285,13 @@ class StrandDiagram:
 
     def to_slices(self) -> SliceWord:
         if self._word is None:
-            events = _greedy_raw(self)
-            self._word = SliceWord(self.m, tuple(events))
+            # the greedy events address live strands by construction, so
+            # the word skips the range checks of ``SliceWord``
+            w = object.__new__(SliceWord)
+            object.__setattr__(w, "sources", self.m)
+            object.__setattr__(w, "events", tuple(_greedy_raw(self)))
+            object.__setattr__(w, "sinks", self.n)
+            self._word = w
         return self._word
 
     @property

@@ -266,19 +266,23 @@ _LETTERS = {
 def from_word(letters: Union[str, Iterable[str]]) -> FElement:
     """Product of generators; letters a, A, b, B mean x0, x0^-1, x1, x1^-1.
 
-    The letters' diagrams are stacked and reduced once, seeded only at
-    the seams; reduced forms are unique, so this equals the product taken
-    one letter at a time, in time linear in the word.
+    Each letter is checked in input order, and a letter next to its
+    inverse cancels before any diagram is built, so only the freely
+    reduced word is stacked.  Its letters' diagrams are stacked and
+    reduced once, seeded only at the seams, one seed per remaining seam;
+    reduced forms are unique, so this equals the product taken one letter
+    at a time, slice word for slice word, in time linear in the word.
     """
-    reps = [_ONE]
+    word: list[str] = []
     for ch in letters:
-        if ch.isspace():
-            continue
-        try:
-            reps.append(_LETTERS[ch].rep)
-        except KeyError:
-            raise DomainError(f"unknown generator letter {ch!r}") from None
-    return FElement(_stack(reps))
+        if ch in _LETTERS:
+            if word and word[-1] == ch.swapcase():
+                word.pop()
+            else:
+                word.append(ch)
+        elif not ch.isspace():
+            raise DomainError(f"unknown generator letter {ch!r}")
+    return FElement(_stack([_ONE] + [_LETTERS[ch].rep for ch in word]))
 
 
 # ---------------------------------------------------------------------------

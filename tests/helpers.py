@@ -9,6 +9,7 @@ bugs cannot hide behind themselves.
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -599,6 +600,17 @@ def left_fold_from_word(letters: str) -> FElement:
     for ch in letters:
         out = out * gens[ch]
     return out
+
+
+def reference_free_reduce(letters: str) -> str:
+    """Reference free reduction of a word in a, A, b, B: whitespace
+    dropped, then inverse pairs deleted until none is left."""
+    word = "".join(letters.split())
+    while True:
+        shorter = re.sub("aA|Aa|bB|Bb", "", word)
+        if shorter == word:
+            return word
+        word = shorter
 
 
 def reference_elementary_forests_at(n: int):

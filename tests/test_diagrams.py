@@ -138,6 +138,19 @@ class TestToSlices:
         canon = from_slices(w).to_slices()
         assert canon.events in commutation_closure(w)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_word_equals_a_validated_slice_word(self, seed):
+        # to_slices skips the range checks; the checked constructor accepts
+        # the same events and counts the same sinks, on raw and reduced diagrams
+        r = rng(seed + 2200)
+        for _ in range(60):
+            raw = random_diagram(r, max_events=30)
+            for d in (raw, reduce(raw)):
+                w = d.to_slices()
+                checked = SliceWord(d.m, w.events)
+                assert w == checked and type(w.events) is tuple
+                assert w.sinks == checked.sinks == d.n
+
     @given(slice_words())
     @settings(max_examples=120)
     def test_round_trip(self, w):

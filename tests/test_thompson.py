@@ -44,6 +44,7 @@ from helpers import (
     reference_canonical_points,
     reference_is_reduced,
     reference_diagram_tree,
+    reference_free_reduce,
     reference_pl_check,
     reference_pl_compose,
     reference_pl_eval,
@@ -379,6 +380,30 @@ class TestFreshDiagramsReduceInPlace:
         assert p == from_word("abA" * 7)
 
 
+def inverse_word(w: str) -> str:
+    return w.swapcase()[::-1]
+
+
+def cancelling_word(r, length: int) -> str:
+    """A word of ``length`` letters: single letters, inverse pairs and whole
+    blocks u u^-1, each inserted at a random position."""
+    w = ""
+    while len(w) < length:
+        room = length - len(w)
+        pick = r.random()
+        if room >= 2 and pick < 0.3:
+            c = r.choice("aAbB")
+            piece = c + c.swapcase()
+        elif room >= 2 and pick < 0.6:
+            u = random_f_word(r, room // 2)
+            piece = u + inverse_word(u)
+        else:
+            piece = r.choice("aAbB")
+        pos = r.randint(0, len(w))
+        w = w[:pos] + piece + w[pos:]
+    return w
+
+
 def seeds_of(monkeypatch, fn):
     """The seed counts handed to ``_reduce_maps`` while ``fn`` runs."""
     seen = []
@@ -396,14 +421,59 @@ def seeds_of(monkeypatch, fn):
 
 class TestStackedLetters:
     """``from_word`` and ``g ** k`` stack reduced (1,1) diagrams and seed
-    the reduction with one anchor per seam."""
+    the reduction with one anchor per seam; ``from_word`` stacks only the
+    freely reduced word."""
 
     def test_from_word_seeds_one_anchor_per_seam(self, monkeypatch):
+        # inverse letters cancel before stacking: one seam per pair of
+        # neighbours in the freely reduced word
+        for w in ["aA", "aBbA", "a \n A"]:
+            seen, g = seeds_of(monkeypatch, lambda: from_word(w))
+            assert seen == [0] and g.is_identity, w
         r = rng(1510)
-        for w in ["", "a", "aA", " a\tB "] + [random_f_word(r, 40) for _ in range(100)]:
-            letters = len(w.replace(" ", "").replace("\t", ""))
+        for w in ["", "a", " a\tB "] + [random_f_word(r, 40) for _ in range(100)]:
+            letters = len(reference_free_reduce(w))
             seen, _ = seeds_of(monkeypatch, lambda: from_word(w))
             assert seen == [max(letters - 1, 0)], w
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cancelling_words_match_left_fold_reference(self, monkeypatch, seed):
+        r = rng(2200 + seed)
+        for _ in range(100):
+            w = cancelling_word(r, 40)
+            assert len(w) == 40
+            seen, g = seeds_of(monkeypatch, lambda: from_word(w))
+            assert seen == [max(len(reference_free_reduce(w)) - 1, 0)], w
+            assert g == left_fold_from_word(w), w
+            assert_reduced_tables(g)
+
+    def test_word_times_its_inverse_stacks_no_letter(self, monkeypatch):
+        r = rng(2210)
+        for w in ["a", "Ab", "abAB"] + [random_f_word(r, 40) for _ in range(50)]:
+            seen, g = seeds_of(monkeypatch, lambda: from_word(w + inverse_word(w)))
+            assert seen == [0] and g.is_identity, w
+
+    @pytest.mark.parametrize("word, bad", [
+        ("aXA", "X"),        # inside a cancelling pair
+        ("aA x", "x"),       # after a cancelled pair
+        ("aA?bB", "?"),      # between two cancelling pairs
+        ("aAbB!", "!"),      # after every letter has cancelled
+        ("xaA", "x"),        # before a cancelling pair
+        ("aQbBZA", "Q"),     # two unknown letters: the first is named
+        ("aAbB1aZ", "1"),
+    ])
+    def test_unknown_letter_is_named_before_it_could_cancel(self, word, bad):
+        with pytest.raises(DomainError, match=re.escape(f"unknown generator letter {bad!r}")):
+            from_word(word)
+        with pytest.raises(DomainError, match=re.escape(f"unknown generator letter {bad!r}")):
+            from_word(iter(word))
+
+    def test_iterables_and_whitespace_inside_a_pair(self):
+        assert from_word(iter("abBA")).is_identity
+        assert from_word(iter("aBbb")) == from_word("ab")
+        assert from_word("a \n A").is_identity
+        assert from_word("ab \t B\na") == from_word("aa") == X0 ** 2
+        assert from_word(["b", " ", "B", "a"]) == X0
 
     @pytest.mark.parametrize("k", [0, 1, -1, 2, -2, 50, -50])
     def test_power_seeds_one_anchor_per_seam(self, monkeypatch, k):
