@@ -219,22 +219,19 @@ def parameterize(cube: Cube, base: ComplexVertex,
         raise DomainError(f"cube has dimension {d}, got {len(ws)} coordinates")
     pairs = multiply(invert(cube.top.diagram), base.diagram).bottom_split_pairs()
     eps = []
+    comps: list[Union[str, tuple[str, Fraction]]] = []
     pos = 1  # the residual's sink under the current component
     for c in cube.splits.components:
         if c == SPLIT:
-            eps.append(int(pos in pairs))
-            pos += eps[-1]  # a flagged split leaves two sinks
+            flag = int(pos in pairs)
+            comps.append((MERGE if flag else SPLIT, ws[len(eps)]))
+            eps.append(flag)
+            pos += flag  # a flagged split leaves two sinks
+        else:
+            comps.append(EDGE)
         pos += 1
     if cube.corner(eps) != base:
         raise DomainError("base vertex is not a corner of the cube")
-    comps: list[Union[str, tuple[str, Fraction]]] = []
-    k = 0
-    for c in cube.splits.components:
-        if c == EDGE:
-            comps.append(EDGE)
-        else:
-            comps.append((MERGE, ws[k]) if eps[k] else (SPLIT, ws[k]))
-            k += 1
     g = GeneralizedStrandDiagram(
         base.diagram, WeightedElementaryForest.from_pairs(comps)
     )

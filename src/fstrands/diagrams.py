@@ -299,10 +299,6 @@ class StrandDiagram:
         return len(self._kind)
 
     @property
-    def split_count(self) -> int:
-        return sum(1 for k in self._kind.values() if k == SPLIT)
-
-    @property
     def merge_count(self) -> int:
         return sum(1 for k in self._kind.values() if k == MERGE)
 

@@ -12,6 +12,8 @@ Canonical form of a generalized diagram: the base is reduced, no caret
 has weight 0 or 1, and no caret interacts with the base bottom (a merge
 caret under a split pair and a split caret under a merge vertex are
 rewritten away, flipping the caret and replacing its weight w by 1-w).
+One walk over the forest finds every move, and one row stacked onto the
+base makes them all.
 """
 
 from __future__ import annotations
@@ -34,16 +36,6 @@ from .diagrams import (
 from .errors import CompositionError, DomainError
 
 _KINDS = frozenset(_SOURCES)
-
-
-def _positions(kinds: Iterable[str]) -> list[int]:
-    """1-based position of each component, after the source strands of those before it."""
-    out = []
-    pos = 1
-    for k in kinds:
-        out.append(pos)
-        pos += _SOURCES[k]
-    return out
 
 
 @dataclass(frozen=True)
@@ -173,41 +165,41 @@ class GeneralizedStrandDiagram:
 def canonicalize_generalized(g: GeneralizedStrandDiagram) -> GeneralizedStrandDiagram:
     """Rewrite to the unique representative of the class of ``g``.
 
-    Three passes, one move at every caret each applies to: weight-0
-    carets dissolve, weight-1 carets join the base, and carets on an
-    opposite base-bottom vertex flip (w to 1-w) as that vertex leaves the
-    base.  Carets sit on disjoint strands and reduced forms are unique,
-    so a pass stacks its carets as one row.  No move makes a weight 0 or
-    1, and a flip cancels only the vertex under its own caret.  The sinks
-    this exposes lie under that caret, now of the other kind, and do not
-    flip it back: a reduced base has no merge feeding a split and no
-    split whose two legs feed one merge (one leg may, and does occur).
+    One walk over the forest, one move at every caret it applies to:
+    weight-0 carets dissolve, weight-1 carets join the base, and carets
+    on an opposite base-bottom vertex flip (w to 1-w) as that vertex
+    leaves the base.  Every move is read off ``g.base``: a joined caret
+    cancels at most the one base vertex above it, and the edges that
+    cancellation exposes end at sinks under that caret; a flip cancels
+    only the vertex under its own caret.  So no move changes the base
+    bottom under another caret.  Carets sit on disjoint strands and
+    reduced forms are unique, so all moves stack as one row.  No move
+    makes a weight 0 or 1, and a flipped caret cannot flip again: that
+    would take a merge feeding a split, or a split whose two legs feed
+    one merge, and a reduced base has neither (a split with one leg into
+    a merge is reduced and does occur).
     """
     base = g.base
-    # weight-0 carets dissolve
-    comps = []
-    for k, w in g.forest.pairs():
-        comps += [(EDGE, None)] * _SOURCES[k] if w == 0 else [(k, w)]
-    # weight-1 carets are absorbed into the base
-    row, rest = [], []
-    for k, w in comps:
-        row += [k] if w == 1 else [EDGE] * _SOURCES[k]
-        rest += [(EDGE, None)] * _SINKS[k] if w == 1 else [(k, w)]
-    base = multiply_row(base, row)
-    comps = rest
-    # carets meeting an opposite base-bottom vertex flip
     split_pairs = base.bottom_split_pairs()
     merge_fed = base.bottom_merge_positions()
-    pos = _positions(k for k, _ in comps)
-    row = []
-    for i, (k, w) in enumerate(comps):
-        if (k == MERGE and pos[i] in split_pairs) or (k == SPLIT and pos[i] in merge_fed):
+    row, rest = [], []
+    pos = 1  # the base sink under the current component
+    for k, w in g.forest.pairs():
+        if not w:  # an edge, or a weight-0 caret dissolving
+            row += [EDGE] * _SOURCES[k]
+            rest += [(EDGE, None)] * _SOURCES[k]
+        elif w == 1:
             row.append(k)
-            comps[i] = (SPLIT if k == MERGE else MERGE, 1 - w)
+            rest += [(EDGE, None)] * _SINKS[k]
+        elif (k == MERGE and pos in split_pairs) or (k == SPLIT and pos in merge_fed):
+            row.append(k)
+            rest.append((SPLIT if k == MERGE else MERGE, 1 - w))
         else:
             row += [EDGE] * _SOURCES[k]
-    base = multiply_row(base, row)
-    return GeneralizedStrandDiagram(base, WeightedElementaryForest.from_pairs(comps))
+            rest.append((k, w))
+        pos += _SOURCES[k]
+    return GeneralizedStrandDiagram(multiply_row(base, row),
+                                    WeightedElementaryForest.from_pairs(rest))
 
 
 def random_gmove(g: GeneralizedStrandDiagram,
@@ -216,17 +208,16 @@ def random_gmove(g: GeneralizedStrandDiagram,
 
     Inverts one canonicalization step: inserts a weight-0 caret, pulls a
     base-bottom vertex out as a weight-1 caret, or flips a caret while
-    pushing its opposite vertex into the base.  Falls back to returning
-    ``g`` unchanged if nothing applies (cannot happen for nonempty rows).
+    pushing its opposite vertex into the base.  Every component offers
+    at least one move, and a (1,n) base has n >= 1 strands, so some move
+    always applies.
     """
     r = seed if isinstance(seed, random.Random) else random.Random(seed)
     base = g.base
     comps = g.forest.pairs()
-    pos = _positions(k for k, _ in comps)
-    strand_comp = {}
+    strand_comp = [None]  # strand_comp[s]: the component over base sink s
     for i, (k, _) in enumerate(comps):
-        for s in range(pos[i], pos[i] + _SOURCES[k]):
-            strand_comp[s] = i
+        strand_comp += [i] * _SOURCES[k]
 
     moves: list[tuple] = []
     for i, (k, w) in enumerate(comps):
@@ -244,11 +235,9 @@ def random_gmove(g: GeneralizedStrandDiagram,
         i = strand_comp[p]
         if comps[i][0] == EDGE:
             moves.append(("pull_merge", i))
-    if not moves:
-        return g
 
     tag, i = r.choice(moves)
-    pos_i = pos[i]
+    pos_i = strand_comp.index(i)
     if tag == "edge_to_split0":
         comps[i] = (SPLIT, Fraction(0))
     elif tag == "edges_to_merge0":

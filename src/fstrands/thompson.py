@@ -57,10 +57,6 @@ def _leaf_depths(t: Tree) -> list[int]:
     return depths
 
 
-def leaf_count(t: Tree) -> int:
-    return len(_leaf_depths(t))
-
-
 def tree_splits(t: Tree) -> list[Event]:
     """Slice events growing ``t`` from a single strand.
 

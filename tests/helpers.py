@@ -14,6 +14,7 @@ from collections import deque
 from fractions import Fraction
 
 from fstrands.diagrams import (
+    _SOURCES,
     MERGE,
     SPLIT,
     Event,
@@ -30,7 +31,6 @@ from fstrands.forests import (
     GeneralizedStrandDiagram,
     WeightedElementaryForest,
     _one_caret,
-    _positions,
     canonicalize_generalized,
 )
 from fstrands.diagrams import invert, multiply_row
@@ -642,6 +642,11 @@ def caret_count(forest: ElementaryForest) -> int:
     return sum(1 for c in forest.components if c != EDGE)
 
 
+def split_count(d: StrandDiagram) -> int:
+    """The number of split vertices of a diagram, counted off its linearization."""
+    return sum(1 for k, _ in d.to_slices().events if k == SPLIT)
+
+
 def reference_cubes_at(v: ComplexVertex, max_dim: int):
     """Reference cube listing: the full enumeration filtered by caret count,
     with repeated cubes dropped."""
@@ -746,6 +751,16 @@ def forests_by_carets(n: int, max_carets: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # reference canonicalization: one move at a time
+
+
+def _positions(kinds) -> list[int]:
+    """1-based position of each component, after the source strands of those before it."""
+    out = []
+    pos = 1
+    for k in kinds:
+        out.append(pos)
+        pos += _SOURCES[k]
+    return out
 
 
 def reference_canonicalize_generalized(g: GeneralizedStrandDiagram) -> GeneralizedStrandDiagram:

@@ -44,6 +44,7 @@ from helpers import (
     reference_stack,
     rng,
     row_slice_word,
+    split_count,
     structural_signature,
 )
 
@@ -96,13 +97,13 @@ class TestFromSlices:
     def test_single_split(self):
         d = from_slices(SliceWord(1, (S(1),)))
         assert (d.m, d.n) == (1, 2)
-        assert d.split_count == 1 and d.merge_count == 0
+        assert split_count(d) == 1 and d.merge_count == 0
 
     def test_mixed_word_boundary_counts(self):
         # hand simulation: 3 strands, split #2 (count 4), merge #1 (count 3)
         d = from_slices(SliceWord(3, (S(2), M(1))))
         assert (d.m, d.n) == (3, 3)
-        assert d.split_count == 1 and d.merge_count == 1
+        assert split_count(d) == 1 and d.merge_count == 1
         assert d.to_slices().events == (S(2), M(1))
 
 

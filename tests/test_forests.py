@@ -1,6 +1,7 @@
 """Elementary forests, weightings, and generalized-diagram canonical forms."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -31,10 +32,13 @@ from helpers import (
     caret_count,
     random_elementary_forest,
     random_generalized,
+    random_vertex_diagram,
     reference_canonicalize_generalized,
+    reference_elementary_forests_at,
     reference_is_reduced,
     rng,
     row_slice_word,
+    split_count,
 )
 
 E, SC, MC = "E", "S", "M"
@@ -93,7 +97,7 @@ class TestElementaryForest:
         sp = forest_diagram(*(c for k in f.components for c in ((E, E) if k == MC else (k,))))
         mg = forest_diagram(*(E if k == SC else k for k in f.components))
         res_after_split = multiply(invert(sp), d)
-        assert res_after_split.split_count == 0
+        assert split_count(res_after_split) == 0
         assert equivalent(multiply(sp, res_after_split), d)
         res_after_merge = multiply(invert(mg), d)
         assert res_after_merge.merge_count == 0
@@ -202,7 +206,7 @@ class TestCanonicalize:
             assert (got.base, got.forest) == (ref.base, ref.forest)
             assert got.base._reduced
 
-    def test_stacks_at_most_two_rows(self, monkeypatch):
+    def test_stacks_one_row(self, monkeypatch):
         rows, real = [], forests.multiply_row
 
         def spy(a, kinds):
@@ -216,7 +220,7 @@ class TestCanonicalize:
         for mod in (diagrams, forests):
             if hasattr(mod, "multiply"):
                 monkeypatch.setattr(mod, "multiply", no_multiply)
-        stacked = 0
+        mixed = 0
         for seed in range(300):
             r = rng(seed + 12000)
             g = random_generalized(r, open_unit=False)
@@ -224,10 +228,44 @@ class TestCanonicalize:
                 g = random_gmove(g, r)
             rows.clear()
             canonicalize_generalized(g)
-            assert len(rows) <= 2
-            # a caret-free row hands back the base, so count rows with carets
-            stacked += sum(any(c != EDGE for c in row) for row in rows) == 2
-        assert stacked  # some inputs need both rows
+            assert len(rows) <= 1
+            # every weight-1 caret joins the row, and any other caret in it is a flip
+            joined = sum(1 for _, w in g.forest.pairs() if w == 1)
+            carets = sum(1 for row in rows for c in row if c != EDGE)
+            mixed += 0 < joined < carets
+        assert mixed  # some rows join a weight-1 caret and flip another
+
+    def test_joined_caret_beside_flipped_caret(self):
+        # sinks 1, 2 are a split pair under a merge caret, which flips;
+        # sink 3 takes a weight-1 split, which joins the base
+        base = from_slices(SliceWord(1, (S(1), S(1))))
+        g = GeneralizedStrandDiagram(base, wf((MC, half), (SC, 1)))
+        c = canonicalize_generalized(g)
+        assert c.base == from_slices(SliceWord(1, (S(1), S(2))))
+        assert c.forest == wf((SC, half), E, E)
+        ref = reference_canonicalize_generalized(g)
+        assert (c.base, c.forest) == (ref.base, ref.forest)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_reference_on_every_small_forest(self, n):
+        # every forest on n strands, every weighting in {0, 1/3, 1}, over
+        # seeded bases with merges
+        r = rng(13000 + n)
+        bases = set()
+        while len(bases) < 10:
+            d = random_vertex_diagram(r, 12)
+            if d.n == n and d.merge_count:
+                bases.add(d)
+        for base in bases:
+            for f in reference_elementary_forests_at(n):
+                carets = [i for i, k in enumerate(f.components) if k != E]
+                for ws in product((0, Fraction(1, 3), 1), repeat=len(carets)):
+                    weights = [None] * len(f.components)
+                    for i, w in zip(carets, ws):
+                        weights[i] = w
+                    g = GeneralizedStrandDiagram(base, WeightedElementaryForest(f.components, weights))
+                    got, ref = canonicalize_generalized(g), reference_canonicalize_generalized(g)
+                    assert (got.base, got.forest) == (ref.base, ref.forest)
 
 
 class TestRandomGmove:

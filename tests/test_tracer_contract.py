@@ -13,6 +13,8 @@ import pytest
 from fstrands.diagrams import StrandDiagram
 from fstrands.thompson import from_word, merge_free_form, to_pl
 
+from helpers import split_count
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -41,7 +43,7 @@ def test_merge_free_form_returns_diagram_and_rounds(spans):
     assert isinstance(result, tuple) and len(result) == 2
     form, rounds = result
     assert isinstance(form, StrandDiagram) and type(rounds) is int
-    assert form.n == from_word("abAB").rep.split_count + 1
+    assert form.n == split_count(from_word("abAB").rep) + 1
 
 
 def test_to_pl_result_has_points(spans):
