@@ -29,13 +29,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .diagrams import SPLIT, SliceWord, from_slices
+from .diagrams import SPLIT, SliceWord, from_slices, reduce
 from .errors import DomainError
 from .forests import (
     EDGE,
     MERGE,
     GeneralizedStrandDiagram,
-    WeightedElementaryForest,
+    _generalized,
 )
 
 Rational = Union[Fraction, int, str]
@@ -168,19 +168,19 @@ def df_section(t: Sequence[Rational]) -> GeneralizedStrandDiagram:
     t, den, xs = _canonical(t)
     if not _in_df(den, xs):
         raise DomainError(f"{tuple(map(str, t))} is not in the image of the complex")
-    comps: list[Union[str, tuple[str, Fraction]]] = []
+    weights: list[Optional[Fraction]] = []
     k = 0
     while k < len(xs):
         if k + 1 < len(xs) and xs[k + 1] - xs[k] < den:
-            comps.append((SPLIT, Fraction(xs[k + 1] - xs[k], den)))
+            weights.append(Fraction(xs[k + 1] - xs[k], den))
             k += 2
         else:
-            comps.append(EDGE)
+            weights.append(None)
             k += 1
-    comb = SliceWord(1, tuple((SPLIT, i) for i in range(1, len(comps))))
-    return GeneralizedStrandDiagram(
-        from_slices(comb), WeightedElementaryForest.from_pairs(comps)
-    )
+    kinds = [EDGE if w is None else SPLIT for w in weights]
+    comb = SliceWord(1, tuple((SPLIT, i) for i in range(1, len(kinds))))
+    # a comb has no merge, so ``reduce`` only flags it
+    return _generalized(reduce(from_slices(comb)), kinds, weights)
 
 
 def key_config(key) -> Config:

@@ -36,6 +36,7 @@ from .forests import (
     ElementaryForest,
     GeneralizedStrandDiagram,
     WeightedElementaryForest,
+    _generalized,
     _one_caret,
     canonicalize_generalized,
 )
@@ -218,23 +219,22 @@ def parameterize(cube: Cube, base: ComplexVertex,
     if len(ws) != d:
         raise DomainError(f"cube has dimension {d}, got {len(ws)} coordinates")
     pairs = multiply(invert(cube.top.diagram), base.diagram).bottom_split_pairs()
-    eps = []
-    comps: list[Union[str, tuple[str, Fraction]]] = []
+    eps, kinds, weights = [], [], []
     pos = 1  # the residual's sink under the current component
     for c in cube.splits.components:
+        w = None
         if c == SPLIT:
             flag = int(pos in pairs)
-            comps.append((MERGE if flag else SPLIT, ws[len(eps)]))
+            c, w = (MERGE if flag else SPLIT), ws[len(eps)]
             eps.append(flag)
             pos += flag  # a flagged split leaves two sinks
-        else:
-            comps.append(EDGE)
+        kinds.append(c)
+        weights.append(w)
         pos += 1
     if cube.corner(eps) != base:
         raise DomainError("base vertex is not a corner of the cube")
-    g = GeneralizedStrandDiagram(
-        base.diagram, WeightedElementaryForest.from_pairs(comps)
-    )
+    # the weights are the caller's, so the public constructor checks them
+    g = GeneralizedStrandDiagram(base.diagram, WeightedElementaryForest(kinds, weights))
     return canonicalize_generalized(g)
 
 
@@ -273,7 +273,7 @@ def orbit_key(p: GeneralizedStrandDiagram) -> OrbitKey:
 
 def left_act(g: FElement, p: GeneralizedStrandDiagram) -> GeneralizedStrandDiagram:
     """Left multiplication of the base by a (1,1) diagram class."""
-    return GeneralizedStrandDiagram(multiply(g.rep, p.base), p.forest)
+    return _generalized(multiply(g.rep, p.base), p.forest.kinds, p.forest.weights)
 
 
 @dataclass

@@ -14,6 +14,9 @@ caret under a split pair and a split caret under a merge vertex are
 rewritten away, flipping the caret and replacing its weight w by 1-w).
 One walk over the forest finds every move, and one row stacked onto the
 base makes them all.
+
+Public constructors check all they are given; canonical forms, g-moves and
+sections, built from checked values, skip the check (``_generalized``).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Sequence, Union
 
 from .diagrams import (
     _SINKS,
@@ -107,18 +110,6 @@ class WeightedElementaryForest:
                 raise DomainError(f"unknown forest component {k!r}")
         object.__setattr__(self, "weights", tuple(ws))
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Union[str, tuple[str, object]]]):
-        kinds, weights = [], []
-        for p in pairs:
-            if isinstance(p, str):
-                kinds.append(p)
-                weights.append(None)
-            else:
-                kinds.append(p[0])
-                weights.append(p[1])  # __post_init__ makes it a Fraction
-        return cls(tuple(kinds), tuple(weights))
-
     @property
     def forest(self) -> ElementaryForest:
         return ElementaryForest(self.kinds)
@@ -162,6 +153,19 @@ class GeneralizedStrandDiagram:
         return f"GeneralizedStrandDiagram({self.base!r}, [{self.forest}])"
 
 
+def _generalized(base: StrandDiagram, kinds: Sequence[str],
+                 weights: Sequence[Weight]) -> GeneralizedStrandDiagram:
+    """``base``, flagged reduced with one source, under a row on its sinks
+    whose carets weigh ``Fraction``s in [0, 1]: nothing is checked again."""
+    forest = object.__new__(WeightedElementaryForest)
+    object.__setattr__(forest, "kinds", tuple(kinds))
+    object.__setattr__(forest, "weights", tuple(weights))
+    g = object.__new__(GeneralizedStrandDiagram)
+    object.__setattr__(g, "base", base)
+    object.__setattr__(g, "forest", forest)
+    return g
+
+
 def canonicalize_generalized(g: GeneralizedStrandDiagram) -> GeneralizedStrandDiagram:
     """Rewrite to the unique representative of the class of ``g``.
 
@@ -198,8 +202,7 @@ def canonicalize_generalized(g: GeneralizedStrandDiagram) -> GeneralizedStrandDi
             row += [EDGE] * _SOURCES[k]
             rest.append((k, w))
         pos += _SOURCES[k]
-    return GeneralizedStrandDiagram(multiply_row(base, row),
-                                    WeightedElementaryForest.from_pairs(rest))
+    return _generalized(multiply_row(base, row), *zip(*rest))
 
 
 def random_gmove(g: GeneralizedStrandDiagram,
@@ -252,4 +255,4 @@ def random_gmove(g: GeneralizedStrandDiagram,
     else:  # pull_merge
         base = multiply_row(base, _one_caret(base.n, SPLIT, pos_i))
         comps[i:i + 1] = [(MERGE, Fraction(1))]
-    return GeneralizedStrandDiagram(base, WeightedElementaryForest.from_pairs(comps))
+    return _generalized(base, *zip(*comps))

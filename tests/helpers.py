@@ -109,6 +109,26 @@ def random_generalized(r: random.Random, *, max_carets: int = 10,
     return GeneralizedStrandDiagram(base, forest)
 
 
+def weighted_forest(*pairs) -> WeightedElementaryForest:
+    """The forest of components written ``"E"`` or ``(kind, weight)``,
+    built by the public constructor, which checks every weight."""
+    kinds = tuple(p if isinstance(p, str) else p[0] for p in pairs)
+    weights = tuple(None if isinstance(p, str) else p[1] for p in pairs)
+    return WeightedElementaryForest(kinds, weights)
+
+
+def assert_as_if_checked(out: GeneralizedStrandDiagram) -> None:
+    """``out``, built by the library without the public checks, is what
+    the public constructors build from its rows and holds what they hold:
+    tuple rows, ``Fraction`` caret weights in [0, 1], a flagged base."""
+    f = out.forest
+    assert out.base._reduced  # before the constructor's ``reduce`` flags it
+    assert type(f.kinds) is tuple and type(f.weights) is tuple
+    assert all(type(w) is Fraction and 0 <= w <= 1
+               for k, w in zip(f.kinds, f.weights) if k != EDGE)
+    assert out == GeneralizedStrandDiagram(out.base, WeightedElementaryForest(f.kinds, f.weights))
+
+
 def random_f_word(r: random.Random, max_len: int = 12) -> str:
     k = r.randint(0, max_len)
     return "".join(r.choice("aAbB") for _ in range(k))
@@ -713,7 +733,7 @@ def reference_parameterize(cube: Cube, base: ComplexVertex, coords) -> Generaliz
         else:
             comps.append((MERGE, ws[k]) if eps[k] else (SPLIT, ws[k]))
             k += 1
-    g = GeneralizedStrandDiagram(base.diagram, WeightedElementaryForest.from_pairs(comps))
+    g = GeneralizedStrandDiagram(base.diagram, weighted_forest(*comps))
     return canonicalize_generalized(g)
 
 
@@ -1007,7 +1027,7 @@ def reference_df_section(t) -> GeneralizedStrandDiagram:
             comps.append(EDGE)
             k += 1
     comb = SliceWord(1, tuple((SPLIT, i) for i in range(1, len(comps))))
-    return GeneralizedStrandDiagram(from_slices(comb), WeightedElementaryForest.from_pairs(comps))
+    return GeneralizedStrandDiagram(from_slices(comb), weighted_forest(*comps))
 
 
 def reference_retract(t) -> tuple[Fraction, ...]:

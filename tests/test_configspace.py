@@ -32,6 +32,7 @@ from fstrands.forests import (
 )
 
 from helpers import (
+    assert_as_if_checked,
     random_cf_tuple,
     random_df_point,
     random_generalized,
@@ -46,16 +47,13 @@ from helpers import (
     reference_retract_path,
     rng,
 )
+from helpers import weighted_forest as wf
 
 F = Fraction
 
 
 def cfg(*xs):
     return as_config(xs)
-
-
-def wf(*pairs):
-    return WeightedElementaryForest.from_pairs(pairs)
 
 
 class TestMembership:
@@ -242,6 +240,7 @@ class TestSection:
         t = random_df_point(r)
         assert is_in_df(t)
         p = df_section(t)
+        assert_as_if_checked(p)
         assert canonicalize_cf(config_map(p)) == t
         assert canonicalize_generalized(p) == p
 
@@ -255,7 +254,9 @@ class TestSection:
             g = random_gmove(g, r)
         key = orbit_key(g)
         assert key_config(key) == canonicalize_cf(config_map(g))
-        assert orbit_key(df_section(key_config(key))) == key
+        p = df_section(key_config(key))
+        assert_as_if_checked(p)
+        assert orbit_key(p) == key
 
     @pytest.mark.parametrize("size", range(1, 9))
     def test_every_small_cell(self, size):
@@ -269,6 +270,7 @@ class TestSection:
                     t = key_config(key)
                     assert is_in_df(t)
                     p = df_section(t)
+                    assert_as_if_checked(p)
                     assert orbit_key(p) == key
                     assert canonicalize_cf(config_map(p)) == t
                     cells += 1

@@ -440,6 +440,14 @@ class TestParameterize:
         with pytest.raises(DomainError, match="not a corner"):
             parameterize(cube, outsider, (Fraction(1, 2),))
 
+    @pytest.mark.parametrize("coords", [(Fraction(3, 2),), (Fraction(-1, 2),)])
+    def test_out_of_range_coordinate_rejected(self, coords):
+        # the coordinates are the caller's, so they reach the checked constructor
+        cube = cube_from_forest(trivial_vertex(), ElementaryForest(("S",)))
+        for corner in (cube.top, cube.bottom()):
+            with pytest.raises(DomainError, match=r"caret weight .* outside \[0, 1\]"):
+                parameterize(cube, corner, coords)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_corner_search(self, seed):
         # from every corner of seeded cubes, against the 2^d corner search
@@ -568,11 +576,13 @@ class TestOrbitKey:
     @pytest.mark.parametrize("seed", range(40))
     def test_invariant_under_left_action(self, seed):
         r = rng(seed)
-        from helpers import random_generalized
+        from helpers import assert_as_if_checked, random_generalized
 
         p = random_generalized(r, max_carets=6)
         g = from_word(random_f_word(r, 6))
-        assert orbit_key(left_act(g, p)) == orbit_key(p)
+        q = left_act(g, p)
+        assert_as_if_checked(q)
+        assert orbit_key(q) == orbit_key(p)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_forest_rule_matches_the_canonical_form(self, seed):

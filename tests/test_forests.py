@@ -29,6 +29,7 @@ from fstrands.forests import (
 )
 
 from helpers import (
+    assert_as_if_checked,
     caret_count,
     random_elementary_forest,
     random_generalized,
@@ -40,13 +41,10 @@ from helpers import (
     row_slice_word,
     split_count,
 )
+from helpers import weighted_forest as wf
 
 E, SC, MC = "E", "S", "M"
 half = Fraction(1, 2)
-
-
-def wf(*pairs):
-    return WeightedElementaryForest.from_pairs(pairs)
 
 
 def forest_diagram(*row):
@@ -115,7 +113,7 @@ class TestWeightedForest:
 
     def test_rejects_out_of_range_weight(self):
         with pytest.raises(DomainError):
-            wf((SC, Fraction(3, 2)))
+            WeightedElementaryForest((SC,), (Fraction(3, 2),))
 
 
 class TestGeneralized:
@@ -202,9 +200,10 @@ class TestCanonicalize:
             g = random_generalized(r, open_unit=False)
             for _ in range(r.randint(0, 60)):
                 g = random_gmove(g, r)
+                assert_as_if_checked(g)
             got, ref = canonicalize_generalized(g), reference_canonicalize_generalized(g)
             assert (got.base, got.forest) == (ref.base, ref.forest)
-            assert got.base._reduced
+            assert_as_if_checked(got)
 
     def test_stacks_one_row(self, monkeypatch):
         rows, real = [], forests.multiply_row
@@ -266,6 +265,7 @@ class TestCanonicalize:
                     g = GeneralizedStrandDiagram(base, WeightedElementaryForest(f.components, weights))
                     got, ref = canonicalize_generalized(g), reference_canonicalize_generalized(g)
                     assert (got.base, got.forest) == (ref.base, ref.forest)
+                    assert_as_if_checked(got)
 
 
 class TestRandomGmove:
@@ -273,6 +273,7 @@ class TestRandomGmove:
     def test_single_move_stays_in_class(self, seed):
         g = random_generalized(rng(seed), max_carets=8)
         moved = random_gmove(g, seed * 7 + 1)
+        assert_as_if_checked(moved)
         assert moved != g or canonicalize_generalized(g) == g
         assert canonicalize_generalized(moved) == canonicalize_generalized(g)
 
@@ -283,6 +284,7 @@ class TestRandomGmove:
         h = g
         for _ in range(5):
             h = random_gmove(h, r)
+            assert_as_if_checked(h)
         assert canonicalize_generalized(h) == canonicalize_generalized(g)
 
     def test_round_trip_from_canonical_vertex(self):

@@ -16,7 +16,7 @@ from fstrands.cli import run
 from fstrands.cubes import CAP, ball, trivial_vertex
 from fstrands.diagrams import M, S, SliceWord, from_slices, identity
 from fstrands.errors import FormatError, InvariantViolation
-from fstrands.forests import GeneralizedStrandDiagram, WeightedElementaryForest
+from fstrands.forests import GeneralizedStrandDiagram
 from fstrands.render import (
     RenderSpec,
     ball_dot,
@@ -27,9 +27,9 @@ from fstrands.render import (
 )
 
 from helpers import random_diagram, random_generalized, rng
+from helpers import weighted_forest as wf
 
 F = Fraction
-wf = WeightedElementaryForest.from_pairs
 
 
 class TestTextFormats:
@@ -83,7 +83,7 @@ class TestTextFormats:
 
     def test_forest_weight_defaults_to_one(self):
         f = textio.parse_forest("forest 2\nS\nE\n")
-        assert f == wf([("S", 1), "E"])
+        assert f == wf(("S", 1), "E")
 
     def test_forest_count_mismatch(self):
         with pytest.raises(FormatError, match="announces 2"):
