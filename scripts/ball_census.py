@@ -12,6 +12,7 @@ as DOT for graphviz.
 import argparse
 
 from fstrands.cubes import ball, trivial_vertex
+from fstrands.errors import DomainError
 from fstrands.render import ball_dot
 
 
@@ -21,16 +22,20 @@ def main() -> None:
     ap.add_argument("--cap", type=int, default=200_000)
     ap.add_argument("--dot", metavar="PATH", help="write the last ball as DOT")
     args = ap.parse_args()
+    if args.radius < 0:
+        ap.error("--radius must be nonnegative")
 
     v = trivial_vertex()
     print(f"{'r':>3} {'vertices':>10} {'edges':>8} {'quot.vertices':>14} {'quot.edges':>11}")
-    g = None
     for r in range(args.radius + 1):
-        g = ball(v, r, cap=args.cap)
-        q = ball(v, r, quotient=True, cap=args.cap)
+        try:
+            g = ball(v, r, cap=args.cap)
+            q = ball(v, r, quotient=True, cap=args.cap)
+        except DomainError as exc:
+            ap.error(f"radius {r}: {exc}")
         print(f"{r:>3} {len(g.vertices):>10} {len(g.edges):>8} "
               f"{len(q.vertices):>14} {len(q.edges):>11}")
-    if args.dot and g is not None:
+    if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(ball_dot(g))
         print(f"wrote {args.dot}")

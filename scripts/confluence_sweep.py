@@ -59,6 +59,8 @@ def main() -> None:
     ap.add_argument("--max-carets", type=int, default=40)
     ap.add_argument("--seed", type=int, default=2026)
     args = ap.parse_args()
+    if args.max_carets < 0:
+        ap.error("--max-carets must be nonnegative")
 
     r = random.Random(args.seed)
     # a stream of its own, so the diagrams do not depend on the cuts

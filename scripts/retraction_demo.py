@@ -17,10 +17,12 @@ from fstrands.configspace import (
     df_section,
     is_in_cf,
     is_in_df,
+    require_cf,
     retract,
     retract_path,
 )
-from fstrands.textio import emit_generalized
+from fstrands.errors import DomainError, FormatError
+from fstrands.textio import emit_generalized, parse_config
 
 
 def trace(entries: tuple[Fraction, ...], samples: int) -> None:
@@ -43,13 +45,16 @@ def main() -> None:
     ap.add_argument("--config", help="whitespace-separated rationals")
     ap.add_argument("--samples", type=int, default=6)
     args = ap.parse_args()
+    if args.samples < 1:
+        ap.error("--samples must be at least 1")
 
-    if args.config:
-        entries = tuple(Fraction(tok) for tok in args.config.split())
+    examples = ("3 7", "1 1 2", "0 0 1 5/2 5/2 4") if args.config is None else (args.config,)
+    for text in examples:
+        try:
+            entries = require_cf(parse_config(text))
+        except (FormatError, DomainError) as exc:
+            ap.error(f"--config: {exc}")
         trace(entries, args.samples)
-        return
-    for example in ("3 7", "1 1 2", "0 0 1 5/2 5/2 4"):
-        trace(tuple(Fraction(tok) for tok in example.split()), args.samples)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,10 @@ bad invocations, 3 when an internal invariant fails or the recursion
 limit or memory runs out (a bug; the message names the arguments).
 Invocations are controlled entirely by flags; there are no environment
 variables or config files.
+
+Each verb is declared once, in ``_VERBS``, which both the parser and the
+dispatch read.  Handlers look library functions up when they run, so a
+rebound module attribute (a monkeypatch, a tracer) reaches them.
 """
 
 from __future__ import annotations
@@ -22,6 +26,10 @@ from .diagrams import equivalent, invert, multiply, reduce
 from .errors import DomainError, FormatError, InvariantViolation
 from .thompson import from_word, pl_eval, to_pl
 
+#: verb -> (help text, argument specs, handler), in ``--help`` order.  A
+#: handler takes the parsed namespace and standard input, returns the output.
+_VERBS: dict[str, tuple] = {}
+
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad invocation in one line, without the usage block."""
@@ -35,57 +43,33 @@ def _line(prefix: str, message: str) -> str:
     return f"{prefix}: {' '.join(message.splitlines())}\n"
 
 
+def _arg(*flags: str, **kw) -> tuple[tuple[str, ...], dict]:
+    """The arguments of one ``add_argument`` call, for ``_VERBS``."""
+    return flags, kw
+
+
+_FILE = _arg("file")
+_OPERANDS = (_arg("left"), _arg("right"))
+
+
+def _verb(name: str, help_: str, *args: tuple[tuple[str, ...], dict]):
+    """Register the decorated handler as verb ``name``."""
+    def register(handler):
+        _VERBS[name] = (help_, args, handler)
+        return handler
+    return register
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="fstrands",
         description="Strand diagram calculus, cube complex and configuration tools",
     )
     sub = top.add_subparsers(dest="verb", required=True)
-
-    def add(verb, help_, *args):
+    for verb, (help_, args, _) in _VERBS.items():
         p = sub.add_parser(verb, help=help_)
         for flags, kw in args:
             p.add_argument(*flags, **kw)
-        return p
-
-    add("reduce", "reduce a diagram file", (("file",), {}))
-    add("eq", "compare two diagram files up to reduction",
-        (("left",), {}), (("right",), {}))
-    add("mul", "stack two diagram files", (("left",), {}), (("right",), {}))
-    add("inv", "reflect a diagram file", (("file",), {}))
-    add("word", "canonical diagram of a generator word (letters a A b B)",
-        (("file",), {}))
-    p = add("pl-eval", "evaluate the PL map of a generator word", (("file",), {}),
-            (("at",), {"nargs": "?", "default": None}))
-    p.add_argument("--map", action="store_true", dest="show_map",
-                   help="print breakpoints instead of a value")
-    add("cmap", "configuration of a generalized diagram file", (("file",), {}))
-    add("in-cf", "configuration membership", (("file",), {}))
-    add("in-df", "image membership of a configuration", (("file",), {}))
-    add("canon-cf", "canonical duplicate-free representative", (("file",), {}))
-    add("retract", "retract a configuration onto the image", (("file",), {}))
-    add("path-sample", "sample the retraction path at a time in [0,1]",
-        (("file",), {}), (("time",), {}))
-    add("section", "generalized diagram over an image configuration",
-        (("file",), {}))
-    add("upper-bound", "common splitting refinement of two (1,n) diagrams",
-        (("left",), {}), (("right",), {}))
-    add("forests", "list elementary forests on n strands", (("n",), {"type": int}))
-    p = add("cubes", "cubes at a vertex diagram", (("file",), {}))
-    p.add_argument("--max-dim", type=int, default=2)
-    p = add("ball", "1-skeleton ball around a vertex diagram",
-            (("file",), {}), (("radius",), {"type": int}))
-    p.add_argument("--quotient", action="store_true")
-    p.add_argument("--cap", type=int, default=cubes.CAP)
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of an edge list")
-    add("holonomy", "element carried by a move file", (("file",), {}))
-    p = add("render", "render an object to SVG or DOT", (("file",), {}))
-    p.add_argument("--kind", required=True,
-                   choices=("diagram", "generalized", "config", "ball"))
-    p.add_argument("--format", dest="fmt", default=None,
-                   choices=("svg", "dot", "text"))
-    p.add_argument("--scale", type=float, default=40.0)
-    p.add_argument("--no-labels", action="store_true")
     return top
 
 
@@ -113,115 +97,167 @@ def _vertex(text: str) -> cubes.ComplexVertex:
     return cubes.ComplexVertex(textio.parse_diagram(text))
 
 
-def _dispatch(ns: argparse.Namespace, stdin: io.TextIOBase, out: io.TextIOBase) -> None:
-    verb = ns.verb
-    if verb == "reduce":
-        d = textio.parse_diagram(_read(ns.file, stdin))
-        out.write(textio.emit_diagram(reduce(d)))
-    elif verb == "eq":
-        a, b = map(textio.parse_diagram, _read_operands(ns, stdin))
-        out.write(_bool_line(equivalent(a, b)))
-    elif verb == "mul":
-        a, b = map(textio.parse_diagram, _read_operands(ns, stdin))
-        out.write(textio.emit_diagram(multiply(a, b)))
-    elif verb == "inv":
-        out.write(textio.emit_diagram(invert(textio.parse_diagram(_read(ns.file, stdin)))))
-    elif verb == "word":
-        g = from_word(textio.parse_word(_read(ns.file, stdin)))
-        out.write(textio.emit_diagram(g.rep))
-    elif verb == "pl-eval":
-        g = from_word(textio.parse_word(_read(ns.file, stdin)))
-        m = to_pl(g)
-        if ns.show_map:
-            for x, y in m.points:
-                out.write(f"{x} {y}\n")
-        elif ns.at is None:
-            raise FormatError("pl-eval needs a point or --map")
-        else:
-            out.write(f"{pl_eval(m, textio.parse_rational(ns.at))}\n")
-    elif verb == "cmap":
-        g = textio.parse_generalized(_read(ns.file, stdin))
-        out.write(textio.emit_config(configspace.config_map(g)))
-    elif verb == "in-cf":
-        t = textio.parse_config(_read(ns.file, stdin))
-        out.write(_bool_line(configspace.is_in_cf(t)))
-    elif verb == "in-df":
-        t = textio.parse_config(_read(ns.file, stdin))
-        out.write(_bool_line(configspace.is_in_df(t)))
-    elif verb == "canon-cf":
-        t = textio.parse_config(_read(ns.file, stdin))
-        out.write(textio.emit_config(configspace.canonicalize_cf(t)))
-    elif verb == "retract":
-        t = textio.parse_config(_read(ns.file, stdin))
-        out.write(textio.emit_config(configspace.retract(t)))
-    elif verb == "path-sample":
-        t = textio.parse_config(_read(ns.file, stdin))
-        s = textio.parse_rational(ns.time)
-        out.write(textio.emit_config(configspace.retract_path(t, s)))
-    elif verb == "section":
-        t = textio.parse_config(_read(ns.file, stdin))
-        out.write(textio.emit_generalized(configspace.df_section(t)))
-    elif verb == "upper-bound":
-        x, y = map(_vertex, _read_operands(ns, stdin))
-        out.write(textio.emit_diagram(cubes.upper_bound(x, y).diagram))
-    elif verb == "forests":
-        if ns.n < 1:
-            raise DomainError("strand count must be at least 1")
-        if cubes.forest_count(ns.n, ns.n) > cubes.CAP:
-            raise DomainError(f"{ns.n} strands carry more than {cubes.CAP} forests")
-        for f in cubes.elementary_forests_at(ns.n):
-            out.write(str(f) + "\n")
-    elif verb == "cubes":
-        v = _vertex(_read(ns.file, stdin))
-        if ns.max_dim < 0:
-            raise DomainError("max dimension must be nonnegative")
-        if cubes.forest_count(v.n, ns.max_dim) > cubes.CAP:
-            raise DomainError(f"a vertex with {v.n} sinks has more than {cubes.CAP} cubes "
-                              f"of dimension at most {ns.max_dim}")
-        for cube in cubes.cubes_at(v, ns.max_dim):
-            splits = "".join(cube.splits.components)
-            out.write(f"dim={cube.dimension} top={cube.top.label()} splits={splits}\n")
-    elif verb == "ball":
-        v = _vertex(_read(ns.file, stdin))
-        g = cubes.ball(v, ns.radius, quotient=ns.quotient, cap=ns.cap)
-        out.write(render.ball_dot(g) if ns.dot else render.ball_edge_text(g))
-    elif verb == "holonomy":
-        moves = textio.parse_moves(_read(ns.file, stdin))
-        out.write(textio.emit_diagram(cubes.holonomy(moves).rep))
-    elif verb == "render":
-        _render(ns, stdin, out)
-    else:  # pragma: no cover - argparse enforces the verb set
-        raise FormatError(f"unknown verb {verb!r}")
+def _config(ns: argparse.Namespace, stdin: io.TextIOBase) -> configspace.Config:
+    return textio.parse_config(_read(ns.file, stdin))
 
 
-def _render(ns: argparse.Namespace, stdin: io.TextIOBase, out: io.TextIOBase) -> None:
+@_verb("reduce", "reduce a diagram file", _FILE)
+def _reduce(ns, stdin):
+    return textio.emit_diagram(reduce(textio.parse_diagram(_read(ns.file, stdin))))
+
+
+@_verb("eq", "compare two diagram files up to reduction", *_OPERANDS)
+def _eq(ns, stdin):
+    a, b = map(textio.parse_diagram, _read_operands(ns, stdin))
+    return _bool_line(equivalent(a, b))
+
+
+@_verb("mul", "stack two diagram files", *_OPERANDS)
+def _mul(ns, stdin):
+    a, b = map(textio.parse_diagram, _read_operands(ns, stdin))
+    return textio.emit_diagram(multiply(a, b))
+
+
+@_verb("inv", "reflect a diagram file", _FILE)
+def _inv(ns, stdin):
+    return textio.emit_diagram(invert(textio.parse_diagram(_read(ns.file, stdin))))
+
+
+@_verb("word", "canonical diagram of a generator word (letters a A b B)", _FILE)
+def _word(ns, stdin):
+    return textio.emit_diagram(from_word(textio.parse_word(_read(ns.file, stdin))).rep)
+
+
+@_verb("pl-eval", "evaluate the PL map of a generator word", _FILE,
+       _arg("at", nargs="?", default=None),
+       _arg("--map", action="store_true", dest="show_map",
+            help="print breakpoints instead of a value"))
+def _pl_eval(ns, stdin):
+    m = to_pl(from_word(textio.parse_word(_read(ns.file, stdin))))
+    if ns.show_map:
+        return "".join(f"{x} {y}\n" for x, y in m.points)
+    if ns.at is None:
+        raise FormatError("pl-eval needs a point or --map")
+    return f"{pl_eval(m, textio.parse_rational(ns.at))}\n"
+
+
+@_verb("cmap", "configuration of a generalized diagram file", _FILE)
+def _cmap(ns, stdin):
+    g = textio.parse_generalized(_read(ns.file, stdin))
+    return textio.emit_config(configspace.config_map(g))
+
+
+@_verb("in-cf", "configuration membership", _FILE)
+def _in_cf(ns, stdin):
+    return _bool_line(configspace.is_in_cf(_config(ns, stdin)))
+
+
+@_verb("in-df", "image membership of a configuration", _FILE)
+def _in_df(ns, stdin):
+    return _bool_line(configspace.is_in_df(_config(ns, stdin)))
+
+
+@_verb("canon-cf", "canonical duplicate-free representative", _FILE)
+def _canon_cf(ns, stdin):
+    return textio.emit_config(configspace.canonicalize_cf(_config(ns, stdin)))
+
+
+@_verb("retract", "retract a configuration onto the image", _FILE)
+def _retract(ns, stdin):
+    return textio.emit_config(configspace.retract(_config(ns, stdin)))
+
+
+@_verb("path-sample", "sample the retraction path at a time in [0,1]",
+       _FILE, _arg("time"))
+def _path_sample(ns, stdin):
+    t = _config(ns, stdin)
+    s = textio.parse_rational(ns.time)
+    return textio.emit_config(configspace.retract_path(t, s))
+
+
+@_verb("section", "generalized diagram over an image configuration", _FILE)
+def _section(ns, stdin):
+    return textio.emit_generalized(configspace.df_section(_config(ns, stdin)))
+
+
+@_verb("upper-bound", "common splitting refinement of two (1,n) diagrams", *_OPERANDS)
+def _upper_bound(ns, stdin):
+    x, y = map(_vertex, _read_operands(ns, stdin))
+    return textio.emit_diagram(cubes.upper_bound(x, y).diagram)
+
+
+@_verb("forests", "list elementary forests on n strands", _arg("n", type=int))
+def _forests(ns, stdin):
+    if ns.n < 1:
+        raise DomainError("strand count must be at least 1")
+    if cubes.forest_count(ns.n, ns.n) > cubes.CAP:
+        raise DomainError(f"{ns.n} strands carry more than {cubes.CAP} forests")
+    return "".join(f"{f}\n" for f in cubes.elementary_forests_at(ns.n))
+
+
+@_verb("cubes", "cubes at a vertex diagram", _FILE,
+       _arg("--max-dim", type=int, default=2))
+def _cubes(ns, stdin):
+    v = _vertex(_read(ns.file, stdin))
+    if ns.max_dim < 0:
+        raise DomainError("max dimension must be nonnegative")
+    if cubes.forest_count(v.n, ns.max_dim) > cubes.CAP:
+        raise DomainError(f"a vertex with {v.n} sinks has more than {cubes.CAP} cubes "
+                          f"of dimension at most {ns.max_dim}")
+    return "".join(f"dim={c.dimension} top={c.top.label()} splits={''.join(c.splits.components)}\n"
+                   for c in cubes.cubes_at(v, ns.max_dim))
+
+
+@_verb("ball", "1-skeleton ball around a vertex diagram", _FILE,
+       _arg("radius", type=int), _arg("--quotient", action="store_true"),
+       _arg("--cap", type=int, default=None),
+       _arg("--dot", action="store_true", help="emit DOT instead of an edge list"))
+def _ball(ns, stdin):
+    v = _vertex(_read(ns.file, stdin))
+    cap = cubes.CAP if ns.cap is None else ns.cap
+    g = cubes.ball(v, ns.radius, quotient=ns.quotient, cap=cap)
+    return render.ball_dot(g) if ns.dot else render.ball_edge_text(g)
+
+
+@_verb("holonomy", "element carried by a move file", _FILE)
+def _holonomy(ns, stdin):
+    return textio.emit_diagram(cubes.holonomy(textio.parse_moves(_read(ns.file, stdin))).rep)
+
+
+@_verb("render", "render an object to SVG or DOT", _FILE,
+       _arg("--kind", required=True, choices=("diagram", "generalized", "config", "ball")),
+       _arg("--format", dest="fmt", default=None, choices=("svg", "dot", "text")),
+       _arg("--scale", type=float, default=40.0),
+       _arg("--no-labels", action="store_true"))
+def _render(ns, stdin):
     text = _read(ns.file, stdin)
     fmt = ns.fmt or ("dot" if ns.kind == "ball" else "svg")
     spec = render.RenderSpec(scale=ns.scale, labels=not ns.no_labels)
     if ns.kind == "diagram":
         if fmt == "text":
-            out.write(textio.emit_diagram(textio.parse_diagram(text)))
-            return
+            return textio.emit_diagram(textio.parse_diagram(text))
         if fmt != "svg":
             raise FormatError("diagrams render to svg or text")
-        out.write(render.render_diagram_svg(textio.parse_diagram(text), spec))
-    elif ns.kind == "generalized":
+        return render.render_diagram_svg(textio.parse_diagram(text), spec)
+    if ns.kind == "generalized":
         if fmt != "svg":
             raise FormatError("generalized diagrams render to svg")
-        out.write(render.render_generalized_svg(textio.parse_generalized(text), spec))
-    elif ns.kind == "config":
+        return render.render_generalized_svg(textio.parse_generalized(text), spec)
+    if ns.kind == "config":
         if fmt != "svg":
             raise FormatError("configurations render to svg")
         t = configspace.require_cf(textio.parse_config(text))
-        out.write(render.render_config_svg(t, spec))
-    else:  # ball: re-render an edge list
-        graph = textio.parse_ball(text)
-        if fmt == "text":
-            out.write(render.ball_edge_text(graph))
-            return
-        if fmt != "dot":
-            raise FormatError("balls render to dot or text")
-        out.write(render.ball_dot(graph))
+        return render.render_config_svg(t, spec)
+    graph = textio.parse_ball(text)  # ball: re-render an edge list
+    if fmt == "text":
+        return render.ball_edge_text(graph)
+    if fmt != "dot":
+        raise FormatError("balls render to dot or text")
+    return render.ball_dot(graph)
+
+
+def _dispatch(ns: argparse.Namespace, stdin: io.TextIOBase, out: io.TextIOBase) -> None:
+    out.write(_VERBS[ns.verb][2](ns, stdin))
 
 
 def run(argv: list[str], stdin_text: str = "",

@@ -29,14 +29,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .diagrams import SPLIT, SliceWord, from_slices, reduce
+from .diagrams import EDGE, MERGE, SPLIT, SliceWord, from_slices, reduce
 from .errors import DomainError
-from .forests import (
-    EDGE,
-    MERGE,
-    GeneralizedStrandDiagram,
-    _generalized,
-)
+from .forests import GeneralizedStrandDiagram, _generalized
 
 Rational = Union[Fraction, int, str]
 Config = tuple[Fraction, ...]

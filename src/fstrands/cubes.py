@@ -18,6 +18,7 @@ from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .diagrams import (
+    _FLIP,
     _SINKS,
     _SOURCES,
     EDGE,
@@ -385,7 +386,7 @@ def holonomy(moves: Iterable[Move]) -> FElement:
             sign, forest = move
         row, need = forest.components, forest.sources
         if sign < 0:  # the reflected row: splits and merges trade places
-            row = tuple(MERGE if c == SPLIT else SPLIT if c == MERGE else c for c in row)
+            row = tuple(_FLIP[c] for c in row)
             need = forest.sinks
         if acc.n != need:
             raise DomainError(

@@ -50,6 +50,8 @@ EDGE = "E"
 #: Strands each row component takes in and gives out.
 _SOURCES = {EDGE: 1, SPLIT: 1, MERGE: 2}
 _SINKS = {EDGE: 1, SPLIT: 2, MERGE: 1}
+#: Each row component's reflection about the horizontal midline.
+_FLIP = {EDGE: EDGE, SPLIT: MERGE, MERGE: SPLIT}
 
 #: A slice event: ("S", i) splits strand i, ("M", i) merges strands i, i+1.
 Event = tuple[str, int]
@@ -491,7 +493,7 @@ def invert(a: StrandDiagram) -> StrandDiagram:
     included: sink k of ``a`` becomes source k and vice versa.
     """
     down = a._down
-    kind = {v: MERGE if k == SPLIT else SPLIT for v, k in a._kind.items()}
+    kind = {v: _FLIP[k] for v, k in a._kind.items()}
     d = StrandDiagram(a.n, a.m, kind, {t: e for e, t in down.items()},
                       {e: t for e, t in down.items() if e >= 0},
                       [down[~k] for k in range(a.m)], a._slots,

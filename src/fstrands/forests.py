@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .diagrams import (
+    _FLIP,
     _SINKS,
     _SOURCES,
     EDGE,
@@ -197,7 +198,7 @@ def canonicalize_generalized(g: GeneralizedStrandDiagram) -> GeneralizedStrandDi
             rest += [(EDGE, None)] * _SINKS[k]
         elif (k == MERGE and pos in split_pairs) or (k == SPLIT and pos in merge_fed):
             row.append(k)
-            rest.append((SPLIT if k == MERGE else MERGE, 1 - w))
+            rest.append((_FLIP[k], 1 - w))
         else:
             row += [EDGE] * _SOURCES[k]
             rest.append((k, w))
@@ -248,7 +249,7 @@ def random_gmove(g: GeneralizedStrandDiagram,
     elif tag == "flip":
         k, w = comps[i]
         base = multiply_row(base, _one_caret(base.n, k, pos_i))
-        comps[i] = (MERGE if k == SPLIT else SPLIT, 1 - w)
+        comps[i] = (_FLIP[k], 1 - w)
     elif tag == "pull_split":
         base = multiply_row(base, _one_caret(base.n, MERGE, pos_i))
         comps[i:i + 2] = [(SPLIT, Fraction(1))]

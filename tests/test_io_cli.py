@@ -149,6 +149,9 @@ class TestRender:
 
 
 DIAGRAM_SM = "diagram 1\nS 1\nM 1\n"
+VERBS = ["reduce", "eq", "mul", "inv", "word", "pl-eval", "cmap", "in-cf", "in-df", "canon-cf",
+         "retract", "path-sample", "section", "upper-bound", "forests", "cubes", "ball",
+         "holonomy", "render"]
 
 
 class TestMain:
@@ -303,6 +306,19 @@ class TestCli:
         assert (code, err) == (0, "")
         assert out.startswith("usage: fstrands")
         assert capsys.readouterr() == ("", "")
+
+    def test_help_lists_every_verb_in_order(self):
+        out = run(["--help"])[1]
+        assert out.split("\n  {", 1)[1].split("}", 1)[0].split(",") == VERBS
+        # one line per verb, indented four spaces, each followed by its help
+        assert [line.split()[0] for line in out.splitlines()
+                if line.startswith("    ") and line[4] != " "] == VERBS
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_verb_help(self, verb):
+        code, out, err = run([verb, "--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: fstrands {verb}")
 
     def test_missing_file_exits_two(self):
         code, _, _ = run(["reduce", "/nonexistent/path"])

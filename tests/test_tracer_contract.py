@@ -2,7 +2,8 @@
 
 ``perfbench/spans.py`` rebinds every entry point in its ``TRACED`` and
 ``TRACED_METHODS`` tables with ``getattr``, so renaming or removing one
-of them breaks ``perfbench/run.py --trace 1``.
+of them breaks ``perfbench/run.py --trace 1``.  The rebinding must also
+reach the calls the command line makes.
 """
 
 from importlib import import_module
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import fstrands
+from fstrands import cli
 from fstrands.diagrams import StrandDiagram
 from fstrands.thompson import from_word, merge_free_form, to_pl
 
@@ -53,3 +56,25 @@ def test_to_pl_result_has_points(spans):
     tr = spans.Tracer()
     spans._HOOKS["thompson.to_pl"](tr, (g,), m, False)
     assert tr.counters[("thompson.to_pl.breakpoints", "")] == len(m.points)
+
+
+@pytest.mark.parametrize("argv, text, seen", [
+    (["reduce", "-"], "diagram 1\nS 1\nM 1\n",
+     {"textio.parse", "diagrams.reduce", "textio.emit"}),
+    (["mul", "-", "FILE"], "diagram 1\nS 1\n", {"diagrams.multiply"}),
+    (["section", "-"], "1 3/2 5/2\n", {"configspace.df_section"}),
+    (["render", "-", "--kind", "config"], "1 3/2 5/2\n", {"render"}),
+], ids=["reduce", "mul", "section", "render-config"])
+def test_tracer_reaches_the_cli_library_calls(spans, tmp_path, argv, text, seen):
+    # the cli must look library names up per call, or the rebinding misses it
+    path = tmp_path / "merge.diagram"  # the second factor of ``mul``
+    path.write_text("diagram 2\nM 1\n")
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    tr = spans.Tracer()
+    tr.install(fstrands)
+    try:
+        code, _, err = cli.run(argv, text)
+    finally:
+        tr.uninstall()
+    assert (code, err) == (0, "")
+    assert seen <= {tr.names[i] for i in tr.name}
