@@ -188,8 +188,6 @@ def _upper_bound(ns, stdin):
 
 @_verb("forests", "list elementary forests on n strands", _arg("n", type=int))
 def _forests(ns, stdin):
-    if ns.n < 1:
-        raise DomainError("strand count must be at least 1")
     if cubes.forest_count(ns.n, ns.n) > cubes.CAP:
         raise DomainError(f"{ns.n} strands carry more than {cubes.CAP} forests")
     return "".join(f"{f}\n" for f in cubes.elementary_forests_at(ns.n))

@@ -57,7 +57,7 @@ def _scaled(t: Sequence[Rational],
     xs = [x.numerator * (den // x.denominator) for x in t]
     if any(a > b for a, b in zip(xs, xs[1:])) or any(c - a < den for a, c in zip(xs, xs[2:])):
         if strict:
-            raise DomainError(f"{tuple(map(str, t))} is not a configuration")
+            raise DomainError(f"{' '.join(map(str, t))} is not a configuration")
         return None
     return t, den, xs
 
@@ -162,7 +162,7 @@ def df_section(t: Sequence[Rational]) -> GeneralizedStrandDiagram:
     """
     t, den, xs = _canonical(t)
     if not _in_df(den, xs):
-        raise DomainError(f"{tuple(map(str, t))} is not in the image of the complex")
+        raise DomainError(f"{' '.join(map(str, t))} is not in the image of the complex")
     weights: list[Optional[Fraction]] = []
     k = 0
     while k < len(xs):

@@ -1,11 +1,12 @@
 """Deterministic SVG and DOT renderings of the core objects.
 
 Strand diagrams are drawn top to bottom (sources on top), one band per
-slice event; a generalized diagram appends a band for its weighted
-forest, with caret labels showing the weights.  Configurations become
-marked points on a number line.  Ball graphs are emitted as DOT
-digraphs whose edges point from coarser to finer vertices, or as plain
-"a -- b" edge lists.
+slice event, each drawn as the elementary forest with that event's one
+caret; a generalized diagram draws its weighted forest as one more band,
+with caret labels showing the weights.  One row routine draws every
+band.  Configurations become marked points on a number line.  Ball
+graphs are emitted as DOT digraphs whose edges point from coarser to
+finer vertices, or as plain "a -- b" edge lists.
 
 Identical inputs and options always produce byte-identical output.
 """
@@ -20,7 +21,7 @@ from fractions import Fraction
 from .cubes import CAP, BallGraph
 from .diagrams import _SINKS, _SOURCES, EDGE, SPLIT, StrandDiagram
 from .errors import DomainError
-from .forests import GeneralizedStrandDiagram
+from .forests import GeneralizedStrandDiagram, _one_caret
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,27 @@ class _Canvas:
         return "\n".join(parts) + "\n"
 
 
+def _draw_row(canvas: _Canvas, t: int, kinds: tuple[str, ...], labels: dict[int, str]) -> None:
+    """Draw the forest row ``kinds`` as the band from time row t to t + 1.
+
+    Each component runs from its sources on top to its sinks below: an
+    edge is one segment, a split two with a dot at the top, a merge two
+    with a dot at the bottom.  ``labels`` maps a component's index to the
+    text beside its caret's dot."""
+    src = dst = 1
+    for j, kind in enumerate(kinds):
+        for a in range(src, src + _SOURCES[kind]):
+            for b in range(dst, dst + _SINKS[kind]):
+                canvas.line(a, t, b, t + 1)
+        if kind != EDGE:
+            x, y = (src, t) if kind == SPLIT else (dst, t + 1)
+            canvas.dot(x, y)
+            if j in labels:
+                canvas.text(x, y, labels[j])
+        src += _SOURCES[kind]
+        dst += _SINKS[kind]
+
+
 def _draw_word(canvas: _Canvas, d: StrandDiagram, labels: bool) -> int:
     """Draw the slice bands of a diagram; returns the final time row.
 
@@ -113,34 +135,13 @@ def _draw_word(canvas: _Canvas, d: StrandDiagram, labels: bool) -> int:
         count += 1 if tag == SPLIT else -1
     if segments > CAP:
         raise DomainError(f"a drawing of {segments} strand segments exceeds {CAP}")
+    if not word.events:
+        _draw_row(canvas, 0, (EDGE,) * count, {})
+        return 1
     count = word.sources
     for t, (tag, i) in enumerate(word.events):
-        if tag == SPLIT:
-            for k in range(1, i):
-                canvas.line(k, t, k, t + 1)
-            canvas.line(i, t, i, t + 1)
-            canvas.line(i, t, i + 1, t + 1)
-            canvas.dot(i, t)
-            for k in range(i + 1, count + 1):
-                canvas.line(k, t, k + 1, t + 1)
-            if labels:
-                canvas.text(i, t, f"S{i}")
-            count += 1
-        else:
-            for k in range(1, i):
-                canvas.line(k, t, k, t + 1)
-            canvas.line(i, t, i, t + 1)
-            canvas.line(i + 1, t, i, t + 1)
-            canvas.dot(i, t + 1)
-            for k in range(i + 2, count + 1):
-                canvas.line(k, t, k - 1, t + 1)
-            if labels:
-                canvas.text(i, t + 1, f"M{i}")
-            count -= 1
-    if not word.events:
-        for k in range(1, count + 1):
-            canvas.line(k, 0, k, 1)
-        return 1
+        _draw_row(canvas, t, _one_caret(count, tag, i), {i - 1: f"{tag}{i}"} if labels else {})
+        count += 1 if tag == SPLIT else -1
     return len(word.events)
 
 
@@ -153,25 +154,8 @@ def render_diagram_svg(d: StrandDiagram, spec: RenderSpec) -> str:
 def render_generalized_svg(g: GeneralizedStrandDiagram, spec: RenderSpec) -> str:
     canvas = _Canvas(spec.scale)
     t = _draw_word(canvas, g.base, spec.labels)
-    src = 1
-    dst = 1
-    for kind, w in g.forest.pairs():
-        if kind == EDGE:
-            canvas.line(src, t, dst, t + 1)
-        elif kind == SPLIT:
-            canvas.line(src, t, dst, t + 1)
-            canvas.line(src, t, dst + 1, t + 1)
-            canvas.dot(src, t)
-            if spec.labels:
-                canvas.text(src, t, str(w))
-        else:
-            canvas.line(src, t, dst, t + 1)
-            canvas.line(src + 1, t, dst, t + 1)
-            canvas.dot(dst, t + 1)
-            if spec.labels:
-                canvas.text(dst, t + 1, str(w))
-        src += _SOURCES[kind]
-        dst += _SINKS[kind]
+    labels = {j: str(w) for j, w in enumerate(g.forest.weights) if w is not None}
+    _draw_row(canvas, t, g.forest.kinds, labels if spec.labels else {})
     return canvas.document()
 
 

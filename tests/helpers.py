@@ -954,7 +954,7 @@ def reference_is_in_cf(t) -> bool:
 def reference_require_cf(t) -> tuple[Fraction, ...]:
     t = tuple(Fraction(v) for v in t)
     if not reference_is_in_cf(t):
-        raise DomainError(f"{tuple(map(str, t))} is not a configuration")
+        raise DomainError(f"{' '.join(map(str, t))} is not a configuration")
     return t
 
 
@@ -1016,7 +1016,7 @@ def reference_is_in_df(t) -> bool:
 def reference_df_section(t) -> GeneralizedStrandDiagram:
     t = reference_canonicalize_cf(t)
     if not reference_is_in_df(t):
-        raise DomainError(f"{tuple(map(str, t))} is not in the image of the complex")
+        raise DomainError(f"{' '.join(map(str, t))} is not in the image of the complex")
     comps: list = []
     k = 0
     while k < len(t):

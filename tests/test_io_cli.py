@@ -329,6 +329,14 @@ class TestCli:
         assert code == 1
         assert "rejected" in err
 
+    @pytest.mark.parametrize("verb, config, message", [
+        ("retract", "1 1 1\n", "rejected: 1 1 1 is not a configuration\n"),
+        ("section", "1 5\n", "rejected: 1 5 is not in the image of the complex\n"),
+    ])
+    def test_configuration_rejection_quotes_the_entries(self, verb, config, message):
+        # the entries as emit_config writes them
+        assert run([verb, "-"], config) == (1, "", message)
+
     def test_cmap_of_section_round_trips(self):
         code, section_out, _ = run(["section", "-"], "1 3/2 5/2\n")
         assert code == 0
@@ -365,7 +373,10 @@ class TestCli:
         assert err.startswith("rejected:") and err.count("\n") == 1
 
     def test_forests_zero_rejected(self):
-        assert run(["forests", "0"])[:2] == (1, "")
+        for n in ("0", "-3"):
+            code, out, err = run(["forests", n])
+            assert (code, out) == (1, "")
+            assert err.startswith("rejected:") and err.count("\n") == 1
 
     def test_cubes_listing(self):
         code, out, _ = run(["cubes", "-", "--max-dim", "1"], "diagram 1\n")
@@ -481,13 +492,32 @@ class TestCli:
         assert len(out.encode()) < 100_000
         ET.fromstring(out)
 
-    @pytest.mark.parametrize("config, digest", [
-        ("-50 50\n", "ad296157ea6bf06c6260bb4490d197aa2a3688b1a74d6bb99dc89608b6fcbb56"),
-        ("-3/2 98\n", "4e430c1261c0a183ecd307e463915f5603a54b2a315669c4959fd365b0ffdaa1"),
+    @pytest.mark.parametrize("argv, text, digest", [
+        pytest.param(["--kind", "config"], "-50 50\n",
+                     "ad296157ea6bf06c6260bb4490d197aa2a3688b1a74d6bb99dc89608b6fcbb56",
+                     id="config -50 50"),
+        pytest.param(["--kind", "config"], "-3/2 98\n",
+                     "4e430c1261c0a183ecd307e463915f5603a54b2a315669c4959fd365b0ffdaa1",
+                     id="config -3/2 98"),
+        pytest.param(["--kind", "diagram"], "diagram 3\n",
+                     "c54fabeca73b365dc169d11c5893d0fdf8ff4a657d877d00895df7a92919d960",
+                     id="diagram without events"),
+        pytest.param(["--kind", "diagram"], "diagram 2\nS 1\nS 3\nM 2\nM 1\n",
+                     "32279fe5b14e7ccff83228d0aa6396d9c5f3dc97e75ca5f974ec70691e24a8de",
+                     id="diagram"),
+        pytest.param(["--kind", "diagram", "--no-labels"], "diagram 2\nS 1\nS 3\nM 2\nM 1\n",
+                     "1eb018af9f3dc23ccbe3913ea2823fd05fbf44cfb4b9242709f6b550415a36df",
+                     id="diagram --no-labels"),
+        pytest.param(["--kind", "generalized"], "diagram 1\nS 1\nS 2\nforest 2\nS 0\nM 1/2\n",
+                     "d7fe5a18526dbfa05213dc5db4821443ff8fe2a0bd1ff53e38931defef683e24",
+                     id="generalized"),
+        pytest.param(["--kind", "generalized"], "diagram 1\nforest 1\nS 1/3\n",
+                     "bb47825af3ae15fe7ff33ee1b35275cd3e7f3d6e4cac8ddd55f193e6e7f16edb",
+                     id="generalized on a bare vertex"),
     ])
-    def test_render_config_spans_up_to_100_keep_one_tick_per_unit(self, config, digest):
-        # digests of the one-tick-per-unit drawing
-        code, out, _ = run(["render", "-", "--kind", "config"], config)
+    def test_render_bytes_are_pinned(self, argv, text, digest):
+        # the SVG bytes; config spans up to 100 units keep one tick per unit
+        code, out, _ = run(["render", "-", *argv], text)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

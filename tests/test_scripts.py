@@ -53,7 +53,7 @@ def test_retraction_demo_config():
     ("retraction_demo.py", ["--config", "1/0"], "--config: cannot read '1/0' as a rational"),
     ("retraction_demo.py", ["--config", "x"], "--config: cannot read 'x' as a rational"),
     ("retraction_demo.py", ["--config", "1 1 1"],
-     "--config: ('1', '1', '1') is not a configuration"),
+     "--config: 1 1 1 is not a configuration"),
     ("retraction_demo.py", ["--config", ""], "--config: expected one configuration line, found 0"),
     ("retraction_demo.py", ["--samples", "0"], "--samples must be at least 1"),
     ("ball_census.py", ["--radius", "2", "--cap", "3"],
